@@ -14,6 +14,7 @@ from .cubature import (
     IntegralEstimate,
     QuadratureSpec,
     auto_enclosing_radius,
+    enclosing_radius,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
@@ -86,6 +87,7 @@ __all__ = [
     "auto_enclosing_radius",
     "dual_constant",
     "dual_integral",
+    "enclosing_radius",
     "final_value_check",
     "find_lambda_for_target",
     "gamma",

@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .cubature import (
     ENGINE_BOX,
     ENGINE_MONTE_CARLO,
     QuadratureSpec,
-    auto_enclosing_radius,
+    enclosing_radius,
     integrate_box,
     monte_carlo_sublevel,
 )
@@ -46,6 +46,7 @@ from .mvt import mean_value_point
 from .polyalg import MultiPoly
 from .problemfile import ProblemFile, load_problem_file
 from .simplex import (
+    generalized_polynomial_v,
     orthant_monomial_evaluator,
     simplex_gauge,
     simplex_laplace_of_v,
@@ -72,163 +73,118 @@ def _rel_diff(a: float, b: float) -> float:
     return 0.0 if a == b else float("inf")
 
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _emit_csv(header: list[str], rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-
-
 def _spec_from(pf: ProblemFile, args) -> QuadratureSpec:
     spec = pf.quadrature
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    if getattr(args, "rel_tol", None) is not None:
+    if args.rel_tol is not None:
         spec = replace(spec, rel_tol=args.rel_tol)
     return spec
 
 
-def _cert_doc(cert) -> dict:
-    return {
-        "y": cert.y,
-        "lambda_y": cert.lambda_y,
-        "v_value": cert.v_value,
-        "method": cert.method,
-        "error_estimate": cert.error_estimate,
-    }
-
-
-def _poly_direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
-    """Monte Carlo and box-indicator estimates of the domain integral."""
-    if pf.g.homogeneity_degree() not in (None, 0):
-        radius = auto_enclosing_radius(pf.g, y)
-    elif spec.box_radius != "auto":
-        radius = float(spec.box_radius)
-    else:
-        raise InputError(
-            "direct estimates need an enclosing box: g must be homogeneous "
-            "or box_radius must be numeric"
-        )
-    mc = monte_carlo_sublevel(
-        pf.f, pf.g, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO)
+def _fig1_problem(args) -> ProblemFile:
+    """The bench-fig1 instance, f = 1 over the quartic or sextic star at y = 1."""
+    return ProblemFile(
+        mode="poly",
+        dim=2,
+        y_values=(1.0,),
+        single_y=True,
+        quadrature=QuadratureSpec(nodes_per_axis=args.nodes, sample_count=args.samples),
+        f=MultiPoly.constant(2, 1.0),
+        g=FIG1_QUARTIC if args.variant == "quartic" else FIG1_SEXTIC,
     )
 
-    f_poly, g_poly = pf.f, pf.g
 
-    def indicator_integrand(pts):
-        return np.asarray(f_poly(pts), dtype=float) * (np.asarray(g_poly(pts), dtype=float) <= y)
-
-    box = integrate_box(
-        indicator_integrand,
-        pf.dim,
-        replace(spec, engine=ENGINE_BOX, box_radius=radius),
-    )
-    return mc, box
-
-
-def _simplex_direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
-    terms = pf.simplex_poly.terms
-    evaluators = [orthant_monomial_evaluator(t.alpha) for t in terms]
-    coefs = [t.coef for t in terms]
-
-    def f_eval(pts):
-        total = np.zeros(np.asarray(pts).shape[0])
-        for coef, ev in zip(coefs, evaluators):
-            total = total + coef * ev(pts)
-        return total
-
-    radius = float(y)  # the simplex at level y sits inside [0, y]^d
-    mc = monte_carlo_sublevel(
-        f_eval, simplex_gauge, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO)
-    )
-
-    def indicator_integrand(pts):
-        return f_eval(pts) * (simplex_gauge(pts) <= y)
-
-    box = integrate_box(
-        indicator_integrand,
-        pf.dim,
-        replace(spec, engine=ENGINE_BOX, box_radius=radius),
-    )
-    return mc, box
-
-
-def _simplex_terms_report(pf: ProblemFile, y: float):
-    rows = []
-    total = 0.0
-    for term in pf.simplex_poly.terms:
-        p = pf.dim + sum(term.alpha)
-        lam_y = lambda_y_for_order(p, y)
-        v_term = term.coef * simplex_monomial_v(term.alpha, y)
-        total += v_term
-        rows.append(
-            {
-                "alpha": list(term.alpha),
-                "coef": term.coef,
-                "lambda_y": lam_y,
-                "v_term": v_term,
-            }
-        )
-    return total, rows
-
-
-def cmd_integrate(args) -> int:
-    pf = load_problem_file(args.input)
-    spec = _spec_from(pf, args)
+def _single_y(pf: ProblemFile, message: str) -> float:
     if not pf.single_y:
-        raise InputError("integrate requires a single \"y\"; use sweep for a grid")
-    y = pf.y_values[0]
+        raise InputError(message)
+    return pf.y_values[0]
+
+
+def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
+    """v(y) and one certificate per dualized piece: a homogeneous
+    component of f in poly mode, an alpha term in simplex mode."""
+    if pf.mode == "poly":
+        return v_polynomial(SublevelProblem(pf.dim, pf.f, pf.g), y, spec)
+    certs = [
+        DualCertificate(
+            y,
+            lambda_y_for_order(pf.dim + sum(term.alpha), y),
+            term.coef * simplex_monomial_v(term.alpha, y),
+            "closed-form",
+            0.0,
+        )
+        for term in pf.simplex_poly.terms
+    ]
+    return generalized_polynomial_v(pf.simplex_poly, y), certs
+
+
+def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
+    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box."""
+    if pf.mode == "simplex":
+        terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
+
+        def f(pts):
+            total = np.zeros(np.asarray(pts).shape[0])
+            for coef, ev in terms:
+                total = total + coef * ev(pts)
+            return total
+
+        g, radius = simplex_gauge, float(y)  # the simplex at level y sits inside [0, y]^d
+    else:
+        f, g, radius = pf.f, pf.g, enclosing_radius(pf.g, y, spec)
+    mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO))
+
+    def indicator_integrand(pts):
+        return np.asarray(f(pts), dtype=float) * (np.asarray(g(pts), dtype=float) <= y)
+
+    box = integrate_box(
+        indicator_integrand, pf.dim, replace(spec, engine=ENGINE_BOX, box_radius=radius)
+    )
+    return mc, box
+
+
+def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
+    y = _single_y(pf, "integrate requires a single \"y\"; use sweep for a grid")
+    header = CERT_HEADER.split(",")
 
     if pf.mode == "simplex":
-        value, term_rows = _simplex_terms_report(pf, y)
-        mc, box = _simplex_direct_estimates(pf, spec, y)
+        value, certs = _certificates(pf, spec, y)
+        mc, box = _direct_estimates(pf, spec, y)
         doc = {
             "mode": "simplex",
             "y": y,
             "v": value,
             "method": "closed-form",
-            "terms": term_rows,
+            "terms": [
+                {"alpha": list(t.alpha), "coef": t.coef, "lambda_y": c.lambda_y, "v_term": c.v_value}
+                for t, c in zip(pf.simplex_poly.terms, certs)
+            ],
             "v_direct_mc": mc.value,
             "mc_std_error": mc.std_error,
             "v_direct_boxindicator": box.value,
             "rel_diff_closed_vs_mc": _rel_diff(value, mc.value),
             "seed": spec.seed,
         }
-        if args.output == "csv":
-            rows = [
-                (y, row["lambda_y"], row["v_term"], "closed-form", 0.0)
-                for row in term_rows
-            ]
-            _emit_csv(CERT_HEADER.split(","), rows)
-        else:
-            _emit_json(doc)
-        return 0
+        return doc, header, [c.csv_row() for c in certs]
 
     problem = SublevelProblem(pf.dim, pf.f, pf.g)
     doc = {"mode": "poly", "y": y}
-    certificates = []
+    certs = []
     if problem.g_degree not in (None, 0):
-        value, certs = v_polynomial(problem, y, spec)
-        certificates = list(certs)
-        doc["v_dual"] = value
-        doc["certificates"] = [_cert_doc(c) for c in certs]
+        value, certs = _certificates(pf, spec, y)
+        closed = {}
         if problem.f_degree is not None:
             base = dual_integral(problem, 1.0, spec).value
-            v_closed = v_homogeneous_closed_form(problem, base, y)
-            doc["v_closed_form"] = v_closed
-            closed_cert = DualCertificate(
+            closed["v_closed_form"] = v_closed = v_homogeneous_closed_form(problem, base, y)
+            certs.append(DualCertificate(
                 y,
                 lambda_y_homogeneous(pf.dim, problem.f_degree, problem.g_degree, y),
                 v_closed,
                 METHOD_CLOSED_FORM,
                 abs(v_closed) * spec.rel_tol,
-            )
-            certificates.append(closed_cert)
-            doc["certificates"].append(_cert_doc(closed_cert))
+            ))
+        doc.update(v_dual=value, certificates=[asdict(c) for c in certs], **closed)
         if pf.tau is not None:
             ones = MultiPoly.constant(pf.dim, 1.0)
             vol, _ = v_polynomial(replace(problem, f=ones, f_degree=0.0), y, spec)
@@ -241,69 +197,35 @@ def cmd_integrate(args) -> int:
                 "shifted_integral": shifted,
                 "v_from_tau_shift": pf.tau * vol + shifted,
             }
-    mc, box = _poly_direct_estimates(pf, spec, y)
+    mc, box = _direct_estimates(pf, spec, y)
     doc["v_direct_mc"] = mc.value
     doc["mc_std_error"] = mc.std_error
     doc["v_direct_boxindicator"] = box.value
     if "v_dual" in doc:
         doc["rel_diff_dual_vs_mc"] = _rel_diff(doc["v_dual"], mc.value)
     doc["seed"] = spec.seed
-
-    if args.output == "csv":
-        _emit_csv(CERT_HEADER.split(","), [c.csv_row() for c in certificates])
-    else:
-        _emit_json(doc)
-    return 0
+    return doc, header, [c.csv_row() for c in certs]
 
 
-def _sweep_rows(pf: ProblemFile, spec: QuadratureSpec):
-    rows = []
+def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode == "simplex":
         if len(pf.simplex_poly.terms) != 1:
             raise InputError("sweep in simplex mode supports a single alpha term")
-        term = pf.simplex_poly.terms[0]
-        order = pf.dim + sum(term.alpha)
-        for y in pf.y_values:
-            lam_y = lambda_y_for_order(order, y)
-            v_dual = term.coef * simplex_monomial_v(term.alpha, y)
-            mc, box = _simplex_direct_estimates(pf, spec, y)
-            rows.append(
-                (y, lam_y, v_dual, mc.value, box.value, _rel_diff(v_dual, mc.value),
-                 "closed-form", spec.seed)
-            )
-        return rows
-
-    problem = SublevelProblem(pf.dim, pf.f, pf.g)
-    if problem.f_degree is None or problem.g_degree in (None, 0):
-        raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
-    for y in pf.y_values:
-        value, certs = v_polynomial(problem, y, spec)
-        lam_y = certs[0].lambda_y if certs else lambda_y_homogeneous(
-            pf.dim, problem.f_degree, problem.g_degree, y
-        )
-        method = certs[0].method if certs else "dual-cubature"
-        mc, box = _poly_direct_estimates(pf, spec, y)
-        rows.append(
-            (y, lam_y, value, mc.value, box.value, _rel_diff(value, mc.value), method, spec.seed)
-        )
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    pf = load_problem_file(args.input)
-    spec = _spec_from(pf, args)
-    rows = _sweep_rows(pf, spec)
-    if args.output == "json":
-        keys = SWEEP_HEADER.split(",")
-        _emit_json([dict(zip(keys, row)) for row in rows])
     else:
-        _emit_csv(SWEEP_HEADER.split(","), rows)
-    return 0
+        problem = SublevelProblem(pf.dim, pf.f, pf.g)
+        if problem.f_degree is None or problem.g_degree in (None, 0):
+            raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
+    rows = []
+    for y in pf.y_values:
+        value, certs = _certificates(pf, spec, y)
+        mc, box = _direct_estimates(pf, spec, y)
+        rows.append((y, certs[0].lambda_y, value, mc.value, box.value,
+                     _rel_diff(value, mc.value), certs[0].method, spec.seed))
+    header = SWEEP_HEADER.split(",")
+    return [dict(zip(header, row)) for row in rows], header, rows
 
 
-def cmd_laplace_check(args) -> int:
-    pf = load_problem_file(args.input)
-    spec = _spec_from(pf, args)
+def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
     lambdas = []
     for piece in args.lambdas.split(","):
         lam = float(piece)
@@ -315,7 +237,7 @@ def cmd_laplace_check(args) -> int:
         terms = pf.simplex_poly.terms
 
         def v_fn(y):
-            return sum(t.coef * simplex_monomial_v(t.alpha, y) for t in terms)
+            return generalized_polynomial_v(pf.simplex_poly, y)
 
         def rhs_fn(lam):
             return sum(t.coef * simplex_laplace_of_v(t.alpha, lam) for t in terms)
@@ -339,25 +261,15 @@ def cmd_laplace_check(args) -> int:
         lhs = laplace_transform_by_quadrature(v_fn, lam)
         rhs = rhs_fn(lam)
         rows.append((lam, lhs, rhs, _rel_diff(lhs, rhs)))
-    if args.output == "json":
-        _emit_json([
-            {"lambda": a, "lhs": b, "rhs": c, "rel_diff": d} for a, b, c, d in rows
-        ])
-    else:
-        _emit_csv(["lambda", "lhs", "rhs", "rel_diff"], rows)
-    return 0
+    header = ["lambda", "lhs", "rhs", "rel_diff"]
+    return [dict(zip(header, row)) for row in rows], header, rows
 
 
-def cmd_mvt(args) -> int:
-    pf = load_problem_file(args.input)
-    spec = _spec_from(pf, args)
+def cmd_mvt(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode != "poly":
         raise InputError("mvt requires polynomial mode")
-    if not pf.single_y:
-        raise InputError("mvt requires a single \"y\"")
-    y = pf.y_values[0]
-    problem = SublevelProblem(pf.dim, pf.f, pf.g)
-    result = mean_value_point(problem, y, spec)
+    y = _single_y(pf, "mvt requires a single \"y\"")
+    result = mean_value_point(SublevelProblem(pf.dim, pf.f, pf.g), y, spec)
     doc = {
         "point": list(result.point),
         "f_at_point": result.f_at_point,
@@ -366,79 +278,43 @@ def cmd_mvt(args) -> int:
         "attempts": result.attempts,
         "seed": spec.seed,
     }
-    if args.output == "csv":
-        header = [f"x{i + 1}" for i in range(pf.dim)]
-        header += ["f_at_point", "target_mean", "residual", "attempts"]
-        row = list(result.point) + [
-            result.f_at_point, result.target_mean, result.residual, result.attempts
-        ]
-        _emit_csv(header, [row])
-    else:
-        _emit_json(doc)
-    return 0
+    header = [f"x{i + 1}" for i in range(pf.dim)]
+    header += ["f_at_point", "target_mean", "residual", "attempts"]
+    row = list(result.point) + [
+        result.f_at_point, result.target_mean, result.residual, result.attempts
+    ]
+    return doc, header, [row]
 
 
-def cmd_find_lambda(args) -> int:
-    pf = load_problem_file(args.input)
-    spec = _spec_from(pf, args)
+def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode != "poly":
         raise InputError("find-lambda requires polynomial mode")
-    if not pf.single_y:
-        raise InputError('find-lambda requires a single "y" (the level the target belongs to)')
+    y = _single_y(pf, 'find-lambda requires a single "y" (the level the target belongs to)')
     problem = SublevelProblem(pf.dim, pf.f, pf.g)
     lam = find_lambda_for_target(
         problem, args.target, (args.bracket_lo, args.bracket_hi), spec
     )
     phi = dual_integral(problem, lam, spec).value
-    cert = DualCertificate(
-        pf.y_values[0], lam, phi, METHOD_ROOT_FOUND, abs(phi - args.target)
-    )
+    cert = DualCertificate(y, lam, phi, METHOD_ROOT_FOUND, abs(phi - args.target))
     doc = {
         "lambda": lam,
         "phi": phi,
         "target": args.target,
         "rel_residual": _rel_diff(phi, args.target),
-        "certificate": _cert_doc(cert),
+        "certificate": asdict(cert),
     }
-    if args.output == "csv":
-        _emit_csv(CERT_HEADER.split(","), [cert.csv_row()])
-    else:
-        _emit_json(doc)
-    return 0
+    return doc, CERT_HEADER.split(","), [cert.csv_row()]
 
 
-def cmd_bench_fig1(args) -> int:
-    g = FIG1_QUARTIC if args.variant == "quartic" else FIG1_SEXTIC
-    d_g = g.homogeneity_degree()
-    f = MultiPoly.constant(2, 1.0)
-    problem = SublevelProblem(2, f, g, nonneg_f=True)
-    spec = QuadratureSpec(
-        nodes_per_axis=args.nodes,
-        sample_count=args.samples,
-        seed=args.seed if args.seed is not None else 0,
-        rel_tol=args.rel_tol if args.rel_tol is not None else 1e-9,
-    )
-    lam_1 = lambda_y_homogeneous(2, 0, d_g, 1.0)
+def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
+    problem = SublevelProblem(2, pf.f, pf.g, nonneg_f=True)
+    lam_1 = lambda_y_homogeneous(2, 0, problem.g_degree, 1.0)
 
     t0 = time.perf_counter()
     dual_est = dual_integral(problem, lam_1, spec)
-    t_dual = time.perf_counter() - t0
-
-    radius = auto_enclosing_radius(g, 1.0)
-    t0 = time.perf_counter()
-    mc_est = monte_carlo_sublevel(
-        f, g, 2, 1.0, radius, replace(spec, engine=ENGINE_MONTE_CARLO)
-    )
-    t_mc = time.perf_counter() - t0
-
-    def indicator_integrand(pts):
-        return np.asarray(f(pts), dtype=float) * (np.asarray(g(pts), dtype=float) <= 1.0)
-
-    t0 = time.perf_counter()
-    box_est = integrate_box(
-        indicator_integrand, 2, replace(spec, engine=ENGINE_BOX, box_radius=radius)
-    )
-    t_box = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    mc_est, box_est = _direct_estimates(pf, spec, 1.0)
+    t2 = time.perf_counter()
 
     doc = {
         "variant": args.variant,
@@ -455,17 +331,9 @@ def cmd_bench_fig1(args) -> int:
         "nodes_per_axis": spec.nodes_per_axis,
     }
     # Timing is run-dependent diagnostics; keep stdout byte-reproducible.
-    sys.stderr.write(
-        f"timing: dual={t_dual:.3f}s mc={t_mc:.3f}s boxindicator={t_box:.3f}s\n"
-    )
-    if args.output == "csv":
-        keys = [k for k in doc if k != "y"]
-        header = ["y"] + keys
-        row = [doc["y"]] + [doc[k] for k in keys]
-        _emit_csv(header, [row])
-    else:
-        _emit_json(doc)
-    return 0
+    sys.stderr.write(f"timing: dual={t1 - t0:.3f}s direct={t2 - t1:.3f}s\n")
+    keys = [k for k in doc if k != "y"]
+    return doc, ["y"] + keys, [[doc["y"]] + [doc[k] for k in keys]]
 
 
 def _add_common(parser, *, with_input=True):
@@ -535,13 +403,24 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --seed must be an unsigned 64-bit integer\n")
         return 2
     try:
-        return args.func(args)
+        if args.command == "bench-fig1":
+            pf = _fig1_problem(args)
+        else:
+            pf = load_problem_file(args.input)
+        doc, header, rows = args.func(pf, _spec_from(pf, args), args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except EngineError as exc:
         sys.stderr.write(f"engine error: {exc}\n")
         return 3
+    if args.output == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return 0
 
 
 if __name__ == "__main__":

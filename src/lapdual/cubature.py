@@ -475,3 +475,21 @@ def auto_enclosing_radius(g: MultiPoly, y: float, *, margin: float = 1.1) -> flo
     if y == 0.0:
         return 0.0
     return (y / m_hat) ** (1.0 / degree) * margin
+
+
+def enclosing_radius(g, y: float, spec: QuadratureSpec) -> float:
+    """Half-width of the box [-r, r]^d that direct estimates of {g <= y} sample.
+
+    The one rule for every caller: a positively homogeneous polynomial
+    g gets ``auto_enclosing_radius``; otherwise a numeric
+    ``spec.box_radius`` is taken as the caller's assertion that the box
+    encloses the set.  Anything else raises InputError.
+    """
+    if isinstance(g, MultiPoly) and g.homogeneity_degree() not in (None, 0):
+        return auto_enclosing_radius(g, y)
+    if spec.box_radius != "auto":
+        return float(spec.box_radius)
+    raise InputError(
+        "sampling {g <= y} needs an enclosing box: give a homogeneous polynomial g "
+        "or set a numeric box_radius in the quadrature spec"
+    )

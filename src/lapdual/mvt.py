@@ -21,7 +21,7 @@ import numpy as np
 from .cubature import (
     ENGINE_MONTE_CARLO,
     QuadratureSpec,
-    auto_enclosing_radius,
+    enclosing_radius,
     monte_carlo_sublevel,
 )
 from .duality import SublevelProblem, v_dual_homogeneous, v_polynomial
@@ -60,17 +60,6 @@ def _pipeline_value(problem: SublevelProblem, y, spec, radius):
     return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, mc_spec).value
 
 
-def _enclosing_radius(problem: SublevelProblem, y, spec):
-    if isinstance(problem.g, MultiPoly) and problem.g.homogeneity_degree() not in (None, 0):
-        return auto_enclosing_radius(problem.g, y)
-    if spec.box_radius != "auto":
-        return float(spec.box_radius)
-    raise InputError(
-        "mean_value_point needs an enclosing box: give a homogeneous polynomial g "
-        "or set a numeric box_radius in the quadrature spec"
-    )
-
-
 def mean_value_point(
     problem: SublevelProblem,
     y: float,
@@ -90,7 +79,7 @@ def mean_value_point(
     """
     if not y > 0:
         raise InputError(f"y must be positive, got {y!r}")
-    radius = _enclosing_radius(problem, y, spec)
+    radius = enclosing_radius(problem.g, y, spec)
     v_y = _pipeline_value(problem, y, spec, radius)
     ones = MultiPoly.constant(problem.dim, 1.0)
     volume = _pipeline_value(
