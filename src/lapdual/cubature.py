@@ -51,6 +51,11 @@ _MAX_ENLARGEMENTS = 8
 # Node-doubling passes allowed while converging resolution at the initial radius.
 _MAX_REFINEMENTS = 6
 
+# Largest Gauss-Hermite rule numpy builds: past it the ratio of central to
+# tail weights leaves the double range and every weight comes back 0 or NaN.
+# A 370-node rule is exact to degree 739, beyond any moment that fits a double.
+MAX_HERMITE_NODES = 370
+
 _SEED_SPHERE = 0x5F3759DF  # fixed internal stream for sphere sampling
 
 
@@ -166,22 +171,10 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _hermite_rule(n: int):
-    if n == 1:
-        nodes = np.zeros(1)
-        weights = np.array([math.sqrt(math.pi)])
-    else:
-        # Golub-Welsch: eigen-decompose the symmetric tridiagonal Jacobi
-        # matrix of the (physicists') Hermite recurrence.
-        off = np.sqrt(np.arange(1, n) / 2.0)
-        jacobi = np.diag(off, 1) + np.diag(off, -1)
-        vals, vecs = np.linalg.eigh(jacobi)
-        nodes = vals
-        weights = math.sqrt(math.pi) * vecs[0, :] ** 2
-        # Enforce exact +/- symmetry of the rule.
-        nodes = 0.5 * (nodes - nodes[::-1])
-        weights = 0.5 * (weights + weights[::-1])
-        if n % 2 == 1:
-            nodes[n // 2] = 0.0
+    # numpy refines the eigenvalue nodes by a Newton step and takes weights
+    # from the recurrence rather than from eigenvectors, so small tail
+    # weights keep their relative accuracy; the rule is exactly symmetric.
+    nodes, weights = np.polynomial.hermite.hermgauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -190,10 +183,16 @@ def _hermite_rule(n: int):
 def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the weight exp(-x^2) on the real line.
 
-    Exact for polynomials of degree <= 2n - 1 against that weight.
+    Exact for polynomials of degree <= 2n - 1 against that weight, for
+    1 <= n <= MAX_HERMITE_NODES.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"rule size must be a positive integer, got {n!r}")
+    if n > MAX_HERMITE_NODES:
+        raise InputError(
+            f"Gauss-Hermite rules have at most {MAX_HERMITE_NODES} nodes in double precision, "
+            f"got {n}"
+        )
     return _hermite_rule(n)
 
 
@@ -319,7 +318,8 @@ def integrate_gaussian_quadratic(
     Substituting x = S^{-1} u / sqrt(lam), where Q = S'S is a Cholesky
     factorization, reduces the integral to a standard Gaussian-weight
     tensor rule; the result is exact for polynomial f of degree
-    <= 2 * nodes_per_axis - 1.
+    <= 2 * nodes_per_axis - 1.  Rules are capped at MAX_HERMITE_NODES
+    nodes per axis.
 
     Parameters
     ----------
@@ -352,7 +352,7 @@ def integrate_gaussian_quadratic(
     # x = M u with M = S^{-1} / sqrt(lam), S = chol_lower'.
     transform = np.linalg.inv(chol_lower.T) / math.sqrt(lam)
 
-    nodes, weights = gauss_hermite_rule(spec.nodes_per_axis)
+    nodes, weights = gauss_hermite_rule(min(spec.nodes_per_axis, MAX_HERMITE_NODES))
 
     def phi(u_pts):
         return np.asarray(f(u_pts @ transform.T), dtype=float)

@@ -1,67 +1,28 @@
 """Gamma and log-Gamma on the positive half-line.
 
-Lanczos approximation with g = 7 and 9 coefficients, good for about
-1e-13 relative error on the positive axis.  No reflection path: every
-caller in this package has a strictly positive argument.
+Thin wrappers over ``math.gamma`` and ``math.lgamma`` that reject
+nonpositive arguments: every caller in this package has a strictly
+positive argument, so no reflection path is offered.
 """
 
 import math
 
 from .errors import InputError
 
-_LANCZOS_G = 7.0
-
-# Godfrey's double-precision coefficient set for g = 7.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Largest x with Gamma(x) still below the double-precision overflow threshold.
-_GAMMA_OVERFLOW_X = 171.624376956302725
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_series(z: float) -> float:
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    return acc
-
 
 def gamma(x: float) -> float:
     """Gamma(x) for real x > 0.
 
-    Relative error is at or below 1e-12 for x in (0, 170].  Arguments
-    beyond the representable range raise OverflowError; nonpositive
-    arguments raise InputError.
+    Relative error is below 1e-15 up to the double-precision overflow
+    point x ~ 171.62; larger arguments, infinity included, raise
+    OverflowError.  Nonpositive arguments raise InputError.
     """
     x = float(x)
     if not x > 0.0:
         raise InputError(f"gamma requires x > 0, got {x!r}")
-    if x > _GAMMA_OVERFLOW_X:
+    if math.isinf(x):
         raise OverflowError(f"gamma({x!r}) overflows double precision")
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    series = _lanczos_series(z)
-    log_scale = (z + 0.5) * math.log(t) - t
-    if log_scale > 700.0:
-        # t**(z+0.5) would overflow on its own even though Gamma(x) fits.
-        value = _SQRT_TWO_PI * series * math.exp(log_scale)
-    else:
-        value = _SQRT_TWO_PI * series * t ** (z + 0.5) * math.exp(-t)
-    if math.isinf(value):
-        raise OverflowError(f"gamma({x!r}) overflows double precision")
-    return value
+    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
@@ -69,7 +30,4 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise InputError(f"log_gamma requires x > 0, got {x!r}")
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    series = _lanczos_series(z)
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)

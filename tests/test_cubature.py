@@ -18,6 +18,7 @@ from lapdual import (
     monte_carlo_sublevel,
     sphere_minimum,
 )
+from lapdual.cubature import MAX_HERMITE_NODES
 
 MC_SPEC = QuadratureSpec(engine="monte-carlo", sample_count=10**6, seed=0)
 
@@ -74,6 +75,25 @@ def test_gauss_hermite_moments():
     assert float(np.dot(weights, nodes**2)) == pytest.approx(root_pi / 2, rel=1e-12)
     assert float(np.dot(weights, nodes**4)) == pytest.approx(3 * root_pi / 4, rel=1e-12)
     assert np.array_equal(nodes, -nodes[::-1])
+    # The default 64-node rule: every even moment through degree 2n - 2,
+    # where the small tail weights carry the whole value.
+    nodes, weights = gauss_hermite_rule(64)
+    for k in range(0, 127, 2):
+        moment = math.fsum(weights * nodes**k)
+        assert moment == pytest.approx(math.gamma((k + 1) / 2), rel=1e-13), k
+    assert np.array_equal(nodes, -nodes[::-1])
+
+
+def test_gauss_hermite_rule_size_cap():
+    nodes, weights = gauss_hermite_rule(MAX_HERMITE_NODES)
+    assert math.fsum(weights) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    with pytest.raises(InputError):
+        gauss_hermite_rule(MAX_HERMITE_NODES + 1)
+    # The engine caps a larger request instead of failing.
+    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=512)
+    est = integrate_gaussian_quadratic(lambda p: p[:, 0] ** 2, np.eye(1), 1.0, spec)
+    assert est.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
+    assert est.effort == MAX_HERMITE_NODES
 
 
 def test_integrate_box_constant_is_volume():

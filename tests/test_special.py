@@ -46,7 +46,9 @@ def test_against_stdlib_oracle():
     # The C library lgamma is an independent implementation.
     for x in np.geomspace(0.05, 170.0, 200):
         assert log_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), abs=1e-12, rel=1e-12)
-    for x in np.geomspace(0.05, 140.0, 100):
+    # Up to the overflow point: the whole documented range, including
+    # [142, 170] where intermediate powers once overflowed.
+    for x in np.geomspace(0.05, 171.6, 100):
         assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
 
 
@@ -64,5 +66,7 @@ def test_overflow_is_reported():
         gamma(171.7)
     with pytest.raises(OverflowError):
         gamma(500.0)
+    with pytest.raises(OverflowError):
+        gamma(math.inf)
     # log_gamma keeps working far beyond the gamma overflow point.
     assert math.isfinite(log_gamma(1e6))
