@@ -14,7 +14,6 @@ from .cubature import (
     IntegralEstimate,
     QuadratureSpec,
     auto_enclosing_radius,
-    enclosing_radius,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
@@ -87,7 +86,6 @@ __all__ = [
     "auto_enclosing_radius",
     "dual_constant",
     "dual_integral",
-    "enclosing_radius",
     "final_value_check",
     "find_lambda_for_target",
     "gamma",

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lapdual import MultiPoly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -42,11 +46,15 @@ def one_1d():
 
 
 def run_cli(*args):
-    """Run the CLI in a subprocess; returns CompletedProcess with text I/O."""
+    """Run the CLI in a subprocess on this checkout's sources; returns
+    CompletedProcess with text I/O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "lapdual.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import run_cli, write_problem
+from lapdual.cli import main
 
 DISC = {
     "dim": 2,
@@ -278,3 +279,98 @@ def test_threads_flag_never_changes_output(tmp_path):
     a = run_cli("integrate", "--input", path, "--threads", "1")
     b = run_cli("integrate", "--input", path, "--threads", "7")
     assert a.stdout == b.stdout
+
+
+CERT_KEYS = ["y", "lambda_y", "v_value", "method", "error_estimate"]
+CERT_CSV = ",".join(CERT_KEYS)
+SWEEP_KEYS = [
+    "y", "lambda_y", "v_dual", "v_direct_mc", "v_direct_boxindicator",
+    "rel_diff_dual_vs_mc", "method", "seed",
+]
+LAPLACE_KEYS = ["lambda", "lhs", "rhs", "rel_diff"]
+DIRECT_KEYS = ["v_direct_mc", "mc_std_error", "v_direct_boxindicator"]
+FIG1_KEYS = [
+    "variant", "y", "lambda_1", "v_dual", "v_mc", "mc_std_error", "v_boxindicator",
+    "rel_diff_dual_vs_mc", "boxindicator_rel_err_vs_mc", "seed", "samples", "nodes_per_axis",
+]
+
+SMALL = {"sample_count": 2000}
+SMALL_DISC = dict(DISC, quadrature=SMALL)
+SMALL_SIMPLEX = dict(SIMPLEX, quadrature=SMALL)
+
+# case -> (problem file or None, argv, JSON key shape, CSV header)
+SHAPES = {
+    "integrate-poly": (
+        SMALL_DISC, ["integrate"],
+        ["mode", "y", "v_dual", ("certificates", [CERT_KEYS]), "v_closed_form", *DIRECT_KEYS,
+         "rel_diff_dual_vs_mc", "seed"],
+        CERT_CSV,
+    ),
+    "integrate-tau": (
+        dict(SMALL_DISC, tau=-1.0,
+             f={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": -1.0, "exps": [0, 0]}]}),
+        ["integrate"],
+        ["mode", "y", "v_dual", ("certificates", [CERT_KEYS]),
+         ("tau_decomposition", ["tau", "volume", "shifted_integral", "v_from_tau_shift"]),
+         *DIRECT_KEYS, "rel_diff_dual_vs_mc", "seed"],
+        CERT_CSV,
+    ),
+    "integrate-simplex": (
+        SMALL_SIMPLEX, ["integrate"],
+        ["mode", "y", "v", "method", ("terms", [["alpha", "coef", "lambda_y", "v_term"]]),
+         *DIRECT_KEYS, "rel_diff_closed_vs_mc", "seed"],
+        CERT_CSV,
+    ),
+    "sweep-poly": (
+        dict(SMALL_DISC, y=None, y_grid=[0.5, 1.0]), ["sweep"], [SWEEP_KEYS], ",".join(SWEEP_KEYS)
+    ),
+    "sweep-simplex": (SMALL_SIMPLEX, ["sweep"], [SWEEP_KEYS], ",".join(SWEEP_KEYS)),
+    "laplace-check-poly": (
+        SMALL_DISC, ["laplace-check", "--lambdas", "1,2"], [LAPLACE_KEYS], ",".join(LAPLACE_KEYS)
+    ),
+    "laplace-check-simplex": (
+        SMALL_SIMPLEX, ["laplace-check", "--lambdas", "1"], [LAPLACE_KEYS], ",".join(LAPLACE_KEYS)
+    ),
+    "mvt": (
+        SMALL_DISC, ["mvt"],
+        ["point", "f_at_point", "target_mean", "residual", "attempts", "seed"],
+        "x1,x2,f_at_point,target_mean,residual,attempts",
+    ),
+    "find-lambda": (
+        SMALL_DISC, ["find-lambda", "--target", "3.0"],
+        ["lambda", "phi", "target", "rel_residual", ("certificate", CERT_KEYS)],
+        CERT_CSV,
+    ),
+    "bench-fig1": (
+        None, ["bench-fig1", "--samples", "2000", "--nodes", "16", "--rel-tol", "1e-6"],
+        FIG1_KEYS,
+        ",".join(["y"] + [k for k in FIG1_KEYS if k != "y"]),
+    ),
+}
+
+
+def _shape(doc):
+    """Key order of a JSON document; a list of objects shows as the shape of its first."""
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        return [_shape(doc[0])]
+    if isinstance(doc, dict):
+        return [k if _shape(v) is None else (k, _shape(v)) for k, v in doc.items()]
+    return None
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(SHAPES))
+def test_output_shape(case, output, tmp_path, capsys):
+    problem, argv, json_shape, csv_header = SHAPES[case]
+    if problem is not None:
+        problem = {k: v for k, v in problem.items() if v is not None}
+        argv = [argv[0], "--input", write_problem(tmp_path / "p.json", problem), *argv[1:]]
+    assert main([*argv, "--output", output]) == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        assert _shape(json.loads(out)) == json_shape
+    else:
+        lines = out.split("\n")
+        assert lines[0] == csv_header
+        assert lines[-1] == "" and len(lines) > 2
+        assert all(line.count(",") == csv_header.count(",") for line in lines[1:-1])
