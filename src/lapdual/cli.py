@@ -307,7 +307,7 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
 
 
 def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
-    problem = SublevelProblem(2, pf.f, pf.g, nonneg_f=True)
+    problem = SublevelProblem(2, pf.f, pf.g)
     lam_1 = lambda_y_homogeneous(2, 0, problem.g_degree, 1.0)
 
     t0 = time.perf_counter()

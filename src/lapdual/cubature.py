@@ -57,6 +57,8 @@ _MAX_REFINEMENTS = 6
 MAX_HERMITE_NODES = 370
 
 _SEED_SPHERE = 0x5F3759DF  # fixed internal stream for sphere sampling
+_SPHERE_SAMPLES = 8192  # random directions sampled by sphere_minimum
+_ENCLOSING_MARGIN = 1.1  # the sphere minimum is sampled, so its radius bound is widened
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,9 @@ class QuadratureSpec:
 
     ``box_radius`` is either a positive half-width or "auto", in which
     case the box engine doubles the radius from an initial guess until
-    two successive estimates agree to ``rel_tol`` relatively.
+    two successive estimates agree to ``rel_tol`` relatively.  Dual
+    integrals always use "auto"; a numeric value is the direct
+    estimates' box around {g <= y} when g is not homogeneous.
     """
 
     engine: str = ENGINE_BOX
@@ -424,7 +428,7 @@ def monte_carlo_sublevel(
     return IntegralEstimate(value, std_error, ENGINE_MONTE_CARLO, n_samples, radius)
 
 
-def sphere_minimum(g, dim: int, samples: int = 8192) -> float:
+def sphere_minimum(g, dim: int) -> float:
     """Estimated minimum of g over the unit sphere by dense sampling.
 
     Axis and (for moderate dimensions) diagonal directions are always
@@ -441,7 +445,7 @@ def sphere_minimum(g, dim: int, samples: int = 8192) -> float:
         )
         directions.append(corners / math.sqrt(dim))
     if dim > 1:
-        draws = rng.standard_normals(_SEED_SPHERE, 0, samples * dim).reshape(samples, dim)
+        draws = rng.standard_normals(_SEED_SPHERE, 0, _SPHERE_SAMPLES * dim).reshape(-1, dim)
         norms = np.linalg.norm(draws, axis=1)
         keep = norms > 1e-9
         directions.append(draws[keep] / norms[keep, np.newaxis])
@@ -450,13 +454,13 @@ def sphere_minimum(g, dim: int, samples: int = 8192) -> float:
     return float(np.min(vals))
 
 
-def auto_enclosing_radius(g: MultiPoly, y: float, *, margin: float = 1.1) -> float:
+def auto_enclosing_radius(g: MultiPoly, y: float) -> float:
     """Box half-width guaranteed to enclose {g <= y} for homogeneous g.
 
     If g is positively homogeneous of degree k with minimum m > 0 on
     the unit sphere, then g(x) <= y forces |x| <= (y/m)^(1/k); the
-    returned radius is that bound times ``margin``, with m estimated by
-    dense sphere sampling.
+    returned radius is that bound times a 1.1 margin, with m estimated
+    by dense sphere sampling.
     """
     if not isinstance(g, MultiPoly):
         raise InputError("auto_enclosing_radius requires a polynomial g")
@@ -474,7 +478,7 @@ def auto_enclosing_radius(g: MultiPoly, y: float, *, margin: float = 1.1) -> flo
         )
     if y == 0.0:
         return 0.0
-    return (y / m_hat) ** (1.0 / degree) * margin
+    return (y / m_hat) ** (1.0 / degree) * _ENCLOSING_MARGIN
 
 
 def enclosing_radius(g, y: float, spec: QuadratureSpec) -> float:

@@ -58,6 +58,10 @@ _G_NONNEG_TOL = 1e-12
 # box whose boundary weight exponent reaches 40 loses no measurable mass.
 _TAIL_EXPONENT = 40.0
 
+# laplace_transform_by_quadrature's y-side rule.
+_TRANSFORM_PANELS = 64
+_TRANSFORM_NODES = 32
+
 
 @dataclass(frozen=True)
 class SublevelProblem:
@@ -66,8 +70,7 @@ class SublevelProblem:
     f and g may be MultiPoly or opaque vectorized evaluators,
     (N, dim) -> (N,).  Homogeneity degrees are filled in automatically
     for polynomial data and must match when supplied redundantly.
-    ``nonneg_f`` is a caller assertion that f >= 0 everywhere; g is
-    assumed nonnegative with compact sublevel sets and is checked
+    g is assumed nonnegative with compact sublevel sets and is checked
     opportunistically at the points the engines touch.
     """
 
@@ -76,7 +79,6 @@ class SublevelProblem:
     g: MultiPoly | Callable[[np.ndarray], np.ndarray]
     f_degree: float | None = None
     g_degree: float | None = None
-    nonneg_f: bool = False
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -205,7 +207,8 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     positive-definite quadratic form goes to the Gaussian-weight rule,
     anything else to box Gauss-Legendre with an automatic radius (the
     initial radius puts the weight's boundary exponent at 40 when g is
-    homogeneous with a positive sphere minimum).
+    homogeneous with a positive sphere minimum).  ``spec.box_radius`` is
+    ignored: the box is always chosen and verified here.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
@@ -229,7 +232,7 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
         m_hat = sphere_minimum(problem.g, problem.dim)
         if m_hat > 0:
             initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / problem.g_degree)
-    box_spec = replace(spec, engine=ENGINE_BOX)
+    box_spec = replace(spec, engine=ENGINE_BOX, box_radius="auto")
     return integrate_box(phi, problem.dim, box_spec, initial_radius=initial_radius)
 
 
@@ -378,29 +381,22 @@ def final_value_check(problem: SublevelProblem, lam_small: float, spec: Quadratu
     return dual_integral(problem, lam_small, spec).value
 
 
-def laplace_transform_by_quadrature(
-    v_fn: Callable[[float], float],
-    lam: float,
-    *,
-    y_max: float | None = None,
-    panels: int = 64,
-    nodes: int = 32,
-) -> float:
+def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) -> float:
     """Direct 1-D quadrature of integral_0^inf v(y) * exp(-lam*y) dy.
 
-    Composite Gauss-Legendre on dyadic panels of [0, Y] (geometrically
-    refined toward 0, where v typically has an algebraic singularity in
-    its derivatives) plus a first-order bound for the exponential tail
-    beyond Y.  Y defaults to 40/lam so the neglected remainder is at
-    the exp(-40) scale.
+    32-node Gauss-Legendre on 64 dyadic panels of [0, Y] and the head
+    [0, Y / 2^64] (geometrically refined toward 0, where v typically has
+    an algebraic singularity in its derivatives) plus a first-order bound
+    for the exponential tail beyond Y = 40/lam, so the neglected
+    remainder is at the exp(-40) scale.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
-    y_top = y_max if y_max is not None else max(_TAIL_EXPONENT / lam, 1.0)
-    base_nodes, base_weights = gauss_legendre_rule(nodes)
+    y_top = max(_TAIL_EXPONENT / lam, 1.0)
+    base_nodes, base_weights = gauss_legendre_rule(_TRANSFORM_NODES)
     pieces = []
     upper = y_top
-    for _ in range(panels):
+    for _ in range(_TRANSFORM_PANELS):
         lower = 0.5 * upper
         mid = 0.5 * (upper + lower)
         half = 0.5 * (upper - lower)

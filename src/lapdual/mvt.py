@@ -32,6 +32,10 @@ from . import rng
 _SAMPLE_BATCH = 4096
 _MAX_SAMPLE_BATCHES = 256
 
+_RTOL = 1e-9  # accept x* when |f(x*) - c| <= _RTOL * (1 + |c|)
+_MAX_PAIRS = 50  # segment attempts before ExtractionError
+_MAX_BISECT = 200  # bisection steps per segment
+
 
 @dataclass(frozen=True)
 class MeanValueResult:
@@ -60,21 +64,13 @@ def _pipeline_value(problem: SublevelProblem, y, spec, radius):
     return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, mc_spec).value
 
 
-def mean_value_point(
-    problem: SublevelProblem,
-    y: float,
-    spec: QuadratureSpec,
-    *,
-    rtol: float = 1e-9,
-    max_pairs: int = 50,
-    max_bisect: int = 200,
-) -> MeanValueResult:
+def mean_value_point(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> MeanValueResult:
     """Locate x* in K_y with f(x*) close to c = v(y) / vol(K_y).
 
     The output satisfies g(x*) <= y (re-verified) and
-    |f(x*) - c| <= rtol * (1 + |c|).  Deterministic for a fixed
+    |f(x*) - c| <= 1e-9 * (1 + |c|).  Deterministic for a fixed
     ``spec.seed``.  Raises ExtractionError, carrying the best candidate
-    seen, when ``max_pairs`` segment attempts are exhausted; K_y being
+    seen, when 50 segment attempts are exhausted; K_y being
     disconnected is the typical cause.
     """
     if not y > 0:
@@ -82,13 +78,11 @@ def mean_value_point(
     radius = enclosing_radius(problem.g, y, spec)
     v_y = _pipeline_value(problem, y, spec, radius)
     ones = MultiPoly.constant(problem.dim, 1.0)
-    volume = _pipeline_value(
-        replace(problem, f=ones, f_degree=0.0, nonneg_f=True), y, spec, radius
-    )
+    volume = _pipeline_value(replace(problem, f=ones, f_degree=0.0), y, spec, radius)
     if not volume > 0:
         raise ExtractionError(f"vol(K_y) estimate {volume} is not positive")
     c = v_y / volume
-    tol = rtol * (1.0 + abs(c))
+    tol = _RTOL * (1.0 + abs(c))
 
     f_eval = problem.f
     g_eval = problem.g
@@ -103,7 +97,7 @@ def mean_value_point(
 
     def bisect_segment(a, b):
         nonlocal best_point, best_residual
-        for _ in range(max_bisect):
+        for _ in range(_MAX_BISECT):
             mid = 0.5 * (a + b)
             if float(g_eval(mid[np.newaxis, :])[0]) > y:
                 return None  # left the set; resample the pair
@@ -140,9 +134,9 @@ def mean_value_point(
             below.extend(members[f_vals <= c])
             above.extend(members[f_vals >= c])
         while below and above:
-            if attempts >= max_pairs:
+            if attempts >= _MAX_PAIRS:
                 raise ExtractionError(
-                    f"no mean-value point within {max_pairs} segment attempts "
+                    f"no mean-value point within {_MAX_PAIRS} segment attempts "
                     "(is K_y disconnected?)",
                     best=_best_result(best_point, best_residual, c, f_eval, attempts),
                 )

@@ -26,7 +26,7 @@ from .polyalg import MultiPoly
 from .simplex import GeneralizedPolynomial, SimplexMonomial
 
 _TOP_KEYS = {"dim", "f", "g", "y", "y_grid", "quadrature", "simplex", "alpha_terms", "tau"}
-_QUAD_KEYS = {"engine", "nodes_per_axis", "box_radius", "sample_count", "seed", "rel_tol"}
+_QUAD_KEYS = {"nodes_per_axis", "box_radius", "sample_count", "seed", "rel_tol"}
 _ALPHA_TERM_KEYS = {"coef", "alpha"}
 
 

@@ -40,8 +40,8 @@ INTERVAL_G = MultiPoly(1, {(2,): 1.0})
 QUARTIC_G = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.925})
 SEXTIC_G = MultiPoly(2, {(6, 0): 1.0, (0, 6): 1.0, (3, 3): -1.925})
 
-DISC = SublevelProblem(2, MultiPoly.constant(2, 1.0), DISC_G, nonneg_f=True)
-INTERVAL = SublevelProblem(1, MultiPoly.constant(1, 1.0), INTERVAL_G, nonneg_f=True)
+DISC = SublevelProblem(2, MultiPoly.constant(2, 1.0), DISC_G)
+INTERVAL = SublevelProblem(1, MultiPoly.constant(1, 1.0), INTERVAL_G)
 
 SPEC = QuadratureSpec()
 
@@ -127,7 +127,7 @@ def test_a5_nonconvex_benchmark():
     ok = True
     for name, g in (("quartic", QUARTIC_G), ("sextic", SEXTIC_G)):
         d_g = g.homogeneity_degree()
-        problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), g, nonneg_f=True)
+        problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), g)
         lam_1 = lambda_y_homogeneous(2, 0, d_g, 1.0)
         dual = dual_integral(problem, lam_1, QuadratureSpec(nodes_per_axis=96))
         radius = auto_enclosing_radius(g, 1.0)
@@ -241,7 +241,7 @@ def test_a9_scaling_law():
 
 
 def test_a10_mean_value_extraction():
-    problem = SublevelProblem(1, INTERVAL_G, INTERVAL_G, nonneg_f=True)
+    problem = SublevelProblem(1, INTERVAL_G, INTERVAL_G)
     result = mean_value_point(problem, 1.0, SPEC)
     point_err = abs(abs(result.point[0]) - 3.0**-0.5)
     membership_all = True

@@ -225,6 +225,26 @@ def test_laplace_check_rejects_nonpositive_lambda(tmp_path):
     assert proc.returncode == 2
 
 
+def test_numeric_box_radius_leaves_dual_alone(tmp_path, capsys):
+    # box_radius encloses K_1 of the fig1 quartic, but it only sizes the
+    # direct estimates' sampling box: the dual keeps its adaptive box.
+    quartic = {
+        "dim": 2,
+        "terms": [
+            {"coef": 1.0, "exps": [4, 0]},
+            {"coef": 1.0, "exps": [0, 4]},
+            {"coef": -1.925, "exps": [2, 2]},
+        ],
+    }
+    docs = {}
+    for radius in ("auto", 3.0):
+        doc = dict(DISC, g=quartic, quadrature={"sample_count": 2000, "box_radius": radius})
+        assert main(["integrate", "--input", write_problem(tmp_path / "q.json", doc)]) == 0
+        docs[radius] = json.loads(capsys.readouterr().out)
+    for key in ("v_dual", "v_closed_form"):
+        assert docs[3.0][key] == pytest.approx(docs["auto"][key], rel=1e-12)
+
+
 def test_find_lambda_disc(tmp_path):
     path = write_problem(tmp_path / "disc.json", DISC)
     proc = run_cli("find-lambda", "--input", path, "--target", str(math.pi))

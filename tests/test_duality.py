@@ -30,12 +30,12 @@ SPEC = QuadratureSpec()
 
 @pytest.fixture
 def disc_problem(disc_g, one_2d):
-    return SublevelProblem(2, one_2d, disc_g, nonneg_f=True)
+    return SublevelProblem(2, one_2d, disc_g)
 
 
 @pytest.fixture
 def interval_problem(interval_g, one_1d):
-    return SublevelProblem(1, one_1d, interval_g, nonneg_f=True)
+    return SublevelProblem(1, one_1d, interval_g)
 
 
 def test_lambda_y_interval():
@@ -103,7 +103,7 @@ def test_dual_integral_disc(disc_problem):
 
 
 def test_dual_integral_quartic_matches_monte_carlo(quartic_g, one_2d):
-    problem = SublevelProblem(2, one_2d, quartic_g, nonneg_f=True)
+    problem = SublevelProblem(2, one_2d, quartic_g)
     lam_1 = lambda_y_homogeneous(2, 0, 4, 1.0)
     est = dual_integral(problem, lam_1, QuadratureSpec(nodes_per_axis=96))
     assert est.engine == "box-gauss-legendre"
@@ -142,7 +142,7 @@ def test_v_dual_interval(interval_problem):
 
 def test_v_dual_quadratic_integrand(disc_g):
     f = disc_g  # f = |x|^2, homogeneous of degree 2
-    problem = SublevelProblem(2, f, disc_g, nonneg_f=True)
+    problem = SublevelProblem(2, f, disc_g)
     cert = v_dual_homogeneous(problem, 1.0, SPEC)
     assert cert.lambda_y == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert cert.v_value == pytest.approx(math.pi / 2.0, rel=1e-10)
@@ -171,7 +171,7 @@ def test_v_dual_opaque_nonpolynomial_gauge():
     # Oracle: K_y is the ball of radius y^(1/3), so v(y) = pi * y^(2/3).
     g_cubed = lambda p: (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
     f_one = lambda p: np.ones(p.shape[0])
-    problem = SublevelProblem(2, f_one, g_cubed, f_degree=0, g_degree=3, nonneg_f=True)
+    problem = SublevelProblem(2, f_one, g_cubed, f_degree=0, g_degree=3)
     spec = QuadratureSpec(nodes_per_axis=48)
     for y in (0.5, 1.0, 2.0):
         cert = v_dual_homogeneous(problem, y, spec)
@@ -280,7 +280,7 @@ def test_phi_is_nonincreasing(disc_problem, interval_problem):
 
 
 def test_phi_nonincreasing_box_engine(quartic_g, one_2d):
-    problem = SublevelProblem(2, one_2d, quartic_g, nonneg_f=True)
+    problem = SublevelProblem(2, one_2d, quartic_g)
     spec = QuadratureSpec(nodes_per_axis=48, rel_tol=1e-7)
     values = [
         dual_integral(problem, float(lam), spec).value for lam in np.geomspace(0.1, 10.0, 8)
@@ -327,7 +327,7 @@ def test_final_value_check_opaque_gaussian_density():
     # f the Gaussian density (opaque), g = x^2 (opaque): both routed
     # through the box engine; phi(lam) = sqrt(pi / (1 + lam)) -> sqrt(pi).
     problem = SublevelProblem(
-        1, lambda p: np.exp(-p[:, 0] ** 2), lambda p: p[:, 0] ** 2, nonneg_f=True
+        1, lambda p: np.exp(-p[:, 0] ** 2), lambda p: p[:, 0] ** 2
     )
     value = final_value_check(problem, 0.01, SPEC)
     assert value == pytest.approx(math.sqrt(math.pi / 1.01), rel=1e-6)

@@ -15,7 +15,7 @@ SPEC = QuadratureSpec()
 
 
 def test_constant_integrand_any_member_works(disc_g, one_2d):
-    problem = SublevelProblem(2, one_2d, disc_g, nonneg_f=True)
+    problem = SublevelProblem(2, one_2d, disc_g)
     result = mean_value_point(problem, 1.0, SPEC)
     assert result.residual <= 1e-9 * (1.0 + abs(result.target_mean))
     assert result.attempts == 0
@@ -24,7 +24,7 @@ def test_constant_integrand_any_member_works(disc_g, one_2d):
 
 def test_interval_quadratic_instance(interval_g):
     # f = g = x^2, y = 1: c = (2/3)/2 = 1/3, so |x*| = 3^(-1/2).
-    problem = SublevelProblem(1, interval_g, interval_g, nonneg_f=True)
+    problem = SublevelProblem(1, interval_g, interval_g)
     result = mean_value_point(problem, 1.0, SPEC)
     c = result.target_mean
     assert c == pytest.approx(1.0 / 3.0, rel=1e-10)
@@ -35,7 +35,7 @@ def test_interval_quadratic_instance(interval_g):
 
 def test_disc_radial_instance(disc_g):
     # f = g = |x|^2, y = 1: c = (pi/2)/pi = 1/2, point on radius 2^(-1/2).
-    problem = SublevelProblem(2, disc_g, disc_g, nonneg_f=True)
+    problem = SublevelProblem(2, disc_g, disc_g)
     result = mean_value_point(problem, 1.0, SPEC)
     assert result.target_mean == pytest.approx(0.5, rel=1e-10)
     radius = math.hypot(*result.point)
@@ -46,7 +46,7 @@ def test_disc_radial_instance(disc_g):
 def test_nonconvex_quartic_star(quartic_g, disc_g):
     # f = |x|^2 over the four-lobed quartic star: segments between lobes
     # can leave the set, exercising the resample-and-retry policy.
-    problem = SublevelProblem(2, disc_g, quartic_g, nonneg_f=True)
+    problem = SublevelProblem(2, disc_g, quartic_g)
     result = mean_value_point(problem, 1.0, QuadratureSpec(nodes_per_axis=96))
     assert quartic_g(result.point) <= 1.0
     assert result.residual <= 1e-6 * (1.0 + abs(result.target_mean))
@@ -54,7 +54,7 @@ def test_nonconvex_quartic_star(quartic_g, disc_g):
 
 
 def test_membership_and_determinism_across_seeds(interval_g):
-    problem = SublevelProblem(1, interval_g, interval_g, nonneg_f=True)
+    problem = SublevelProblem(1, interval_g, interval_g)
     for seed in range(20):
         spec = QuadratureSpec(seed=seed)
         result = mean_value_point(problem, 1.0, spec)

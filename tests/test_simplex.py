@@ -155,7 +155,7 @@ def test_transform_consistency_with_dual_integral():
     for alpha, lam, rel_tol, nodes, box_tol in cases:
         f = orthant_monomial_evaluator(alpha)
         target = lam * simplex_laplace_of_v(alpha, lam)
-        problem = SublevelProblem(2, f, gauge_abs, nonneg_f=True, g_degree=1)
+        problem = SublevelProblem(2, f, gauge_abs, g_degree=1)
         est = dual_integral(problem, lam, QuadratureSpec(nodes_per_axis=nodes, rel_tol=rel_tol))
         assert est.value == pytest.approx(target, rel=box_tol)
 
