@@ -38,6 +38,7 @@ from .duality import (
     lambda_y_homogeneous,
     laplace_of_v,
     laplace_transform_by_quadrature,
+    v_dual_homogeneous,
     v_homogeneous_closed_form,
     v_polynomial,
 )
@@ -228,7 +229,10 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
 def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
     lambdas = []
     for piece in args.lambdas.split(","):
-        lam = float(piece)
+        try:
+            lam = float(piece)
+        except ValueError:
+            raise InputError(f"--lambdas entries must be numbers, got {piece!r}") from None
         if not lam > 0:
             raise InputError(f"transform arguments must be positive, got {lam!r}")
         lambdas.append(lam)
@@ -307,11 +311,8 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
 
 
 def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
-    problem = SublevelProblem(2, pf.f, pf.g)
-    lam_1 = lambda_y_homogeneous(2, 0, problem.g_degree, 1.0)
-
     t0 = time.perf_counter()
-    dual_est = dual_integral(problem, lam_1, spec)
+    cert = v_dual_homogeneous(SublevelProblem(2, pf.f, pf.g), 1.0, spec)
     t1 = time.perf_counter()
     mc_est, box_est = _direct_estimates(pf, spec, 1.0)
     t2 = time.perf_counter()
@@ -319,12 +320,12 @@ def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
     doc = {
         "variant": args.variant,
         "y": 1.0,
-        "lambda_1": lam_1,
-        "v_dual": dual_est.value,
+        "lambda_1": cert.lambda_y,
+        "v_dual": cert.v_value,
         "v_mc": mc_est.value,
         "mc_std_error": mc_est.std_error,
         "v_boxindicator": box_est.value,
-        "rel_diff_dual_vs_mc": _rel_diff(dual_est.value, mc_est.value),
+        "rel_diff_dual_vs_mc": _rel_diff(cert.v_value, mc_est.value),
         "boxindicator_rel_err_vs_mc": _rel_diff(box_est.value, mc_est.value),
         "seed": spec.seed,
         "samples": spec.sample_count,

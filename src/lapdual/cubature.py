@@ -103,7 +103,9 @@ class IntegralEstimate:
 
     ``std_error`` is present exactly when the engine is Monte Carlo;
     deterministic engines report None.  ``effort`` counts integrand
-    evaluations actually performed.
+    evaluations actually performed.  ``magnitude`` is the box engine's
+    sum of w * |phi| over its final pass, the scale its convergence test
+    and error estimate use; other engines report None.
     """
 
     value: float
@@ -111,6 +113,7 @@ class IntegralEstimate:
     engine: str
     effort: int
     box_radius_used: float | None = None
+    magnitude: float | None = None
 
     def __post_init__(self):
         if (self.std_error is not None) != (self.engine == ENGINE_MONTE_CARLO):
@@ -201,7 +204,8 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor_apply(phi, nodes, weights, dim):
-    """Sum of w_tensor * phi over the tensor grid, chunked deterministically."""
+    """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid,
+    chunked deterministically, plus the number of points."""
     n = nodes.size
     total_points = n**dim
     if total_points > MAX_TENSOR_POINTS:
@@ -209,6 +213,7 @@ def _tensor_apply(phi, nodes, weights, dim):
             f"{n}^{dim} = {total_points} tensor nodes exceed the cap of {MAX_TENSOR_POINTS}"
         )
     partials = []
+    abs_partials = []
     for lo in range(0, total_points, _TENSOR_CHUNK):
         idx = np.arange(lo, min(lo + _TENSOR_CHUNK, total_points))
         pts = np.empty((idx.size, dim))
@@ -226,8 +231,10 @@ def _tensor_apply(phi, nodes, weights, dim):
             )
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand returned a non-finite value at a quadrature node")
-        partials.append(float(np.sum(vals * w)))
-    return math.fsum(partials), total_points
+        w *= vals
+        partials.append(float(np.sum(w)))
+        abs_partials.append(float(np.sum(np.abs(w, out=w))))
+    return math.fsum(partials), math.fsum(abs_partials), total_points
 
 
 def _box_estimate(phi, dim, radius, nodes_per_axis):
@@ -249,9 +256,11 @@ def integrate_box(
     the fixed initial radius until the rule itself is converged to
     ``spec.rel_tol`` (``nodes_per_axis`` is the starting resolution);
     the radius then doubles, with node density held constant, until two
-    successive estimates differ relatively by at most ``spec.rel_tol``,
-    so the enlargement comparison measures tail truncation rather than
-    resolution loss.  The radius that satisfied the test is reported in
+    successive estimates differ by at most ``spec.rel_tol`` times the
+    later pass's magnitude (its sum of w * |phi|, so that an integral
+    that vanishes by cancellation converges too), so the enlargement
+    comparison measures tail truncation rather than resolution loss.
+    The radius that satisfied the test is reported in
     ``box_radius_used``.
 
     Parameters
@@ -271,19 +280,19 @@ def integrate_box(
         raise InputError(f"dim must be a positive integer, got {dim!r}")
 
     if spec.box_radius != "auto":
-        value, effort = _box_estimate(phi, dim, spec.box_radius, spec.nodes_per_axis)
-        return IntegralEstimate(value, None, ENGINE_BOX, effort, spec.box_radius)
+        value, magnitude, effort = _box_estimate(phi, dim, spec.box_radius, spec.nodes_per_axis)
+        return IntegralEstimate(value, None, ENGINE_BOX, effort, spec.box_radius, magnitude)
 
     radius = float(initial_radius) if initial_radius is not None else 1.0
     if not radius > 0:
         raise InputError(f"initial_radius must be positive, got {initial_radius!r}")
     n = spec.nodes_per_axis
-    prev, effort = _box_estimate(phi, dim, radius, n)
+    prev, _, effort = _box_estimate(phi, dim, radius, n)
     for attempt in range(_MAX_REFINEMENTS):
-        cur, used = _box_estimate(phi, dim, radius, 2 * n)
+        cur, magnitude, used = _box_estimate(phi, dim, radius, 2 * n)
         effort += used
         n = 2 * n
-        converged = abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-300)
+        converged = abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300)
         prev = cur
         if converged:
             break
@@ -300,10 +309,10 @@ def integrate_box(
                 f"of {MAX_TENSOR_POINTS}; estimates did not stabilize (the integral may "
                 "diverge or the integrand is too rough for the requested rel_tol)"
             )
-        cur, used = _box_estimate(phi, dim, radius, n)
+        cur, magnitude, used = _box_estimate(phi, dim, radius, n)
         effort += used
-        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-300):
-            return IntegralEstimate(cur, None, ENGINE_BOX, effort, radius)
+        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300):
+            return IntegralEstimate(cur, None, ENGINE_BOX, effort, radius, magnitude)
         prev = cur
     raise EffortError(
         "box enlargement did not stabilize; the integral may diverge "
@@ -361,7 +370,7 @@ def integrate_gaussian_quadratic(
     def phi(u_pts):
         return np.asarray(f(u_pts @ transform.T), dtype=float)
 
-    raw, effort = _tensor_apply(phi, nodes, weights, dim)
+    raw, _, effort = _tensor_apply(phi, nodes, weights, dim)
     value = raw / (lam ** (dim / 2.0) * det_factor)
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort)
 

@@ -26,6 +26,7 @@ it a verification tool rather than an independent evaluator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -42,9 +43,9 @@ from .cubature import (
     integrate_gaussian_quadratic,
     sphere_minimum,
 )
-from .errors import BracketError, EvaluationNoiseError, InputError
+from .errors import BracketError, EffortError, EvaluationNoiseError, InputError
 from .polyalg import MultiPoly
-from .special import gamma, log_gamma
+from .special import log_gamma, power_over_gamma
 
 METHOD_CLOSED_FORM = "closed-form-homogeneous"
 METHOD_DUAL_CUBATURE = "dual-cubature"
@@ -58,9 +59,10 @@ _G_NONNEG_TOL = 1e-12
 # box whose boundary weight exponent reaches 40 loses no measurable mass.
 _TAIL_EXPONENT = 40.0
 
-# laplace_transform_by_quadrature's y-side rule.
+# laplace_transform_by_quadrature's y-side rule and its cap on extending Y.
 _TRANSFORM_PANELS = 64
 _TRANSFORM_NODES = 32
+_MAX_TAIL_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -192,12 +194,13 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
 
 
 def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec) -> float:
-    """Crude per-engine error proxy attached to certificates."""
+    """Crude per-engine error proxy attached to certificates; the box
+    engine's is its convergence tolerance on the scale it tested."""
     if est.engine == ENGINE_MONTE_CARLO:
         return est.std_error
     if est.engine == ENGINE_GAUSSIAN:
         return abs(est.value) * 1e-14
-    return abs(est.value) * spec.rel_tol
+    return max(abs(est.value), est.magnitude) * spec.rel_tol
 
 
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
@@ -239,6 +242,9 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
 def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y: float) -> float:
     """Closed form v(y) = y^p * base_integral / Gamma(1 + p) with
     p = (d + d_f)/d_g, given base_integral = integral of f * exp(-g).
+
+    Evaluated in log space, so only v(y) itself must fit in a double;
+    a v(y) beyond the double range raises EvaluationError.
     """
     if problem.f_degree is None or problem.g_degree is None:
         raise InputError("closed form requires homogeneity degrees for both f and g")
@@ -246,9 +252,9 @@ def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y:
     if y < 0:
         raise InputError(f"y must be nonnegative, got {y!r}")
     p = (problem.dim + problem.f_degree) / problem.g_degree
-    if y == 0.0:
+    if y == 0.0 or base_integral == 0.0:
         return 0.0
-    return y**p * base_integral / gamma(1.0 + p)
+    return math.copysign(power_over_gamma(y, p, math.log(abs(base_integral))), base_integral)
 
 
 def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> DualCertificate:
@@ -283,12 +289,9 @@ def v_polynomial(
     certificates = []
     total = 0.0
     for k, f_k in problem.f.homogeneous_components():
-        lam_k = lambda_y_homogeneous(problem.dim, k, problem.g_degree, y)
-        component = replace(problem, f=f_k, f_degree=k)
-        est = dual_integral(component, lam_k, spec)
-        method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
-        certificates.append(DualCertificate(y, lam_k, est.value, method, _error_estimate(est, spec)))
-        total += est.value
+        cert = v_dual_homogeneous(replace(problem, f=f_k, f_degree=k), y, spec)
+        certificates.append(cert)
+        total += cert.v_value
     return total, certificates
 
 
@@ -386,30 +389,32 @@ def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) 
 
     32-node Gauss-Legendre on 64 dyadic panels of [0, Y] and the head
     [0, Y / 2^64] (geometrically refined toward 0, where v typically has
-    an algebraic singularity in its derivatives) plus a first-order bound
-    for the exponential tail beyond Y = 40/lam, so the neglected
-    remainder is at the exp(-40) scale.
+    an algebraic singularity in its derivatives), plus the first-order
+    tail term v(Y) e^(-lam Y) / lam for the remainder beyond Y.  Y starts
+    at 40/lam and doubles, adding the panel [Y, 2Y], while that tail term
+    is not negligible against the sum, so Y follows the growth of v.
+    EffortError if it is still not negligible after 64 doublings.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
-    y_top = max(_TAIL_EXPONENT / lam, 1.0)
-    base_nodes, base_weights = gauss_legendre_rule(_TRANSFORM_NODES)
-    pieces = []
-    upper = y_top
-    for _ in range(_TRANSFORM_PANELS):
-        lower = 0.5 * upper
+    nodes, weights = gauss_legendre_rule(_TRANSFORM_NODES)
+
+    def panel(lower, upper):
         mid = 0.5 * (upper + lower)
         half = 0.5 * (upper - lower)
-        ys = mid + half * base_nodes
-        vals = [v_fn(float(t)) * math.exp(-lam * float(t)) for t in ys]
-        pieces.append(half * float(np.dot(base_weights, vals)))
-        upper = lower
-    # Head [0, upper] after the last panel.
-    mid = 0.5 * upper
-    half = 0.5 * upper
-    ys = mid + half * base_nodes
-    vals = [v_fn(float(t)) * math.exp(-lam * float(t)) for t in ys]
-    pieces.append(half * float(np.dot(base_weights, vals)))
-    # First-order tail estimate beyond Y.
-    pieces.append(v_fn(y_top) * math.exp(-lam * y_top) / lam)
-    return math.fsum(pieces)
+        vals = [v_fn(float(t)) * math.exp(-lam * float(t)) for t in mid + half * nodes]
+        return half * float(np.dot(weights, vals))
+
+    y_top = max(_TAIL_EXPONENT / lam, 1.0)
+    uppers = [y_top * 0.5**i for i in range(_TRANSFORM_PANELS + 1)]
+    pieces = [panel(lower, upper) for upper, lower in zip(uppers, uppers[1:] + [0.0])]
+    for _ in range(_MAX_TAIL_DOUBLINGS):
+        tail = v_fn(y_top) * math.exp(-lam * y_top) / lam
+        if abs(tail) <= sys.float_info.epsilon * abs(math.fsum(pieces)):
+            return math.fsum(pieces + [tail])
+        pieces.append(panel(y_top, 2.0 * y_top))
+        y_top *= 2.0
+    raise EffortError(
+        f"the transform's tail beyond y = {y_top} is still not negligible; "
+        "v may grow too fast for its Laplace transform to exist"
+    )

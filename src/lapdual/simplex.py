@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError
-from .special import log_gamma
+from .special import log_gamma, power_over_gamma
 
 
 def _validate_alpha(alpha) -> tuple[float, ...]:
@@ -98,12 +98,7 @@ def simplex_monomial_v(alpha, y: float) -> float:
     if y == 0.0:
         return 0.0
     p = len(alpha) + math.fsum(alpha)
-    log_value = (
-        p * math.log(y)
-        + math.fsum(log_gamma(1.0 + a) for a in alpha)
-        - log_gamma(1.0 + p)
-    )
-    return math.exp(log_value)
+    return power_over_gamma(y, p, math.fsum(log_gamma(1.0 + a) for a in alpha))
 
 
 def simplex_laplace_of_v(alpha, lam: float) -> float:

@@ -2,12 +2,13 @@
 
 Thin wrappers over ``math.gamma`` and ``math.lgamma`` that reject
 nonpositive arguments: every caller in this package has a strictly
-positive argument, so no reflection path is offered.
+positive argument, so no reflection path is offered.  Also the
+log-space kernel y^p * C / Gamma(1 + p) shared by the closed forms of v.
 """
 
 import math
 
-from .errors import InputError
+from .errors import EvaluationError, InputError
 
 
 def gamma(x: float) -> float:
@@ -31,3 +32,19 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise InputError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
+
+
+def power_over_gamma(y: float, p: float, log_coef: float) -> float:
+    """y^p * exp(log_coef) / Gamma(1 + p) for y > 0 and p > 0, in log space.
+
+    Neither y^p nor Gamma(1 + p) needs to fit in a double, only the
+    result; a result beyond the double range raises EvaluationError.
+    """
+    log_value = p * math.log(y) + log_coef - log_gamma(1.0 + p)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise EvaluationError(
+            f"y^p * C / Gamma(1 + p) = exp({log_value}) overflows double precision "
+            f"(y = {y!r}, p = {p!r})"
+        ) from None

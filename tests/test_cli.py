@@ -219,6 +219,19 @@ def test_laplace_check_quartic_cross_engine(tmp_path):
         assert float(line.split(",")[3]) <= 1e-6
 
 
+def test_laplace_check_high_degree_monomial(tmp_path):
+    # f = x1^38 over the disc has v(y) proportional to y^20; a y-side
+    # quadrature cut at 40/lambda misses 1.8e-4 of the transform.
+    doc = dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [38, 0]}]})
+    path = write_problem(tmp_path / "x38.json", doc)
+    proc = run_cli("laplace-check", "--input", path, "--lambdas", "0.5,1,2")
+    assert proc.returncode == 0
+    rows = proc.stdout.strip().split("\n")[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.5, 1.0, 2.0]
+    for row in rows:
+        assert float(row.split(",")[3]) <= 1e-10
+
+
 def test_laplace_check_rejects_nonpositive_lambda(tmp_path):
     path = write_problem(tmp_path / "interval.json", INTERVAL)
     proc = run_cli("laplace-check", "--input", path, "--lambdas", "-1")
@@ -243,6 +256,35 @@ def test_numeric_box_radius_leaves_dual_alone(tmp_path, capsys):
         docs[radius] = json.loads(capsys.readouterr().out)
     for key in ("v_dual", "v_closed_form"):
         assert docs[3.0][key] == pytest.approx(docs["auto"][key], rel=1e-12)
+
+
+X400 = dict(
+    INTERVAL,
+    f={"dim": 1, "terms": [{"coef": 1.0, "exps": [400]}]},
+    g={"dim": 1, "terms": [{"coef": 10.0, "exps": [2]}]},
+)
+
+
+@pytest.mark.parametrize(
+    "problem, argv, code",
+    [
+        (INTERVAL, ["laplace-check", "--lambdas", "abc"], 2),
+        (INTERVAL, ["laplace-check", "--lambdas", "1,,2"], 2),
+        (dict(INTERVAL, quadrature={"engine": "box-gauss-legendre"}), ["integrate"], 2),
+        # v(y) ~ y^200.5 / Gamma(201.5): Gamma overflows, v(1) does not ...
+        (X400, ["integrate"], 0),
+        # ... but v(y) near the transform's peak at y ~ 400 does.
+        (X400, ["laplace-check"], 3),
+    ],
+    ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check"],
+)
+def test_exit_code_contract(problem, argv, code, tmp_path):
+    path = write_problem(tmp_path / "p.json", problem)
+    proc = run_cli(argv[0], "--input", path, *argv[1:])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2 and argv[0] == "integrate":
+        assert "engine" in proc.stderr
 
 
 def test_find_lambda_disc(tmp_path):

@@ -196,6 +196,16 @@ def test_v_polynomial_odd_integrand_vanishes(disc_g):
     assert len(certs) == 1
 
 
+def test_v_polynomial_vanishing_box_component_converges(quartic_g):
+    # xy integrates to zero over the symmetric quartic star, so the box
+    # loop's estimates are rounding noise; convergence and the error
+    # estimate are judged on the scale of sum(w * |phi|), not of |v|.
+    problem = SublevelProblem(2, MultiPoly.monomial(2, (1, 1)), quartic_g)
+    value, certs = v_polynomial(problem, 1.0, SPEC)
+    assert certs[0].method == "dual-cubature"
+    assert abs(value) <= certs[0].error_estimate <= 1e-8
+
+
 def test_v_polynomial_zero(disc_g):
     problem = SublevelProblem(2, MultiPoly.zero(2), disc_g)
     value, certs = v_polynomial(problem, 1.0, SPEC)
