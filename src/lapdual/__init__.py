@@ -11,6 +11,7 @@ from .cubature import (
     ENGINE_BOX,
     ENGINE_GAUSSIAN,
     ENGINE_MONTE_CARLO,
+    ENGINE_POLAR,
     IntegralEstimate,
     QuadratureSpec,
     auto_enclosing_radius,
@@ -18,6 +19,7 @@ from .cubature import (
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
+    integrate_polar,
     monte_carlo_sublevel,
     sphere_minimum,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "ENGINE_BOX",
     "ENGINE_GAUSSIAN",
     "ENGINE_MONTE_CARLO",
+    "ENGINE_POLAR",
     "EngineError",
     "EvaluationError",
     "EvaluationNoiseError",
@@ -95,6 +98,7 @@ __all__ = [
     "initial_value_check",
     "integrate_box",
     "integrate_gaussian_quadratic",
+    "integrate_polar",
     "lambda_y_for_order",
     "lambda_y_homogeneous",
     "laplace_of_v",

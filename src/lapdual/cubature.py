@@ -1,9 +1,12 @@
 """Raw integration engines.
 
-Three engines cover every integral the package evaluates:
+Four engines cover every integral the package evaluates:
 
 - tensor-product Gauss-Legendre over a box [-r, r]^d, with optional
   automatic box enlargement for integrands that decay at infinity;
+- a sphere rule for integrals against exp(-lam * g) with f and g
+  positively homogeneous in d <= 3: homogeneity reduces the whole-space
+  integral to one over the unit sphere, so no box is needed;
 - a Gaussian-weight rule for integrals against exp(-lam * x'Qx) with Q
   symmetric positive definite (tensor Gauss-Hermite after a linear
   change of variables);
@@ -18,6 +21,7 @@ row points and return an (N,) array of values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -31,12 +35,15 @@ from .errors import (
     UnboundedSublevelError,
 )
 from .polyalg import MultiPoly
+from .special import exp_in_range, log_gamma
 from . import rng
 
 ENGINE_BOX = "box-gauss-legendre"
 ENGINE_GAUSSIAN = "gaussian-quadratic"
 ENGINE_MONTE_CARLO = "monte-carlo"
 _ENGINES = (ENGINE_BOX, ENGINE_GAUSSIAN, ENGINE_MONTE_CARLO)
+# Chosen by the structure of the data, never by a spec, so not in _ENGINES.
+ENGINE_POLAR = "polar"
 
 # Hard cap on tensor-grid size; beyond this an engine refuses to run.
 MAX_TENSOR_POINTS = 1 << 24
@@ -48,8 +55,14 @@ _MC_CHUNK = 1 << 19
 # Box enlargements attempted before declaring the integral non-stabilizing.
 _MAX_ENLARGEMENTS = 8
 
-# Node-doubling passes allowed while converging resolution at the initial radius.
+# Node-doubling passes allowed while converging resolution (the box engine
+# at its initial radius, the polar engine on the sphere).
 _MAX_REFINEMENTS = 6
+
+# Largest pass of the polar engine (d = 3 at 1024 nodes per angle).  A
+# smooth sphere integrand converges far below it, and a divergent one
+# (g vanishing on a ray between the nodes) is refused in about a second.
+_MAX_SPHERE_POINTS = 1 << 21
 
 # Largest Gauss-Hermite rule numpy builds: past it the ratio of central to
 # tail weights leaves the double range and every weight comes back 0 or NaN.
@@ -103,9 +116,10 @@ class IntegralEstimate:
 
     ``std_error`` is present exactly when the engine is Monte Carlo;
     deterministic engines report None.  ``effort`` counts integrand
-    evaluations actually performed.  ``magnitude`` is the box engine's
-    sum of w * |phi| over its final pass, the scale its convergence test
-    and error estimate use; other engines report None.
+    evaluations actually performed.  ``magnitude`` is the sum of
+    w * |integrand| over the final pass of the box or polar engine (for
+    the polar engine, scaled like its value), the scale its convergence
+    test and error estimate use; other engines report None.
     """
 
     value: float
@@ -203,14 +217,17 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _hermite_rule(n)
 
 
-def _tensor_apply(phi, nodes, weights, dim):
-    """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid,
+def _tensor_apply(phi, axes):
+    """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid
+    of the per-axis rules ``axes`` (one (nodes, weights) pair per axis),
     chunked deterministically, plus the number of points."""
-    n = nodes.size
-    total_points = n**dim
+    dim = len(axes)
+    sizes = [nodes.size for nodes, _ in axes]
+    total_points = math.prod(sizes)
     if total_points > MAX_TENSOR_POINTS:
+        grid = "x".join(map(str, sizes))
         raise EffortError(
-            f"{n}^{dim} = {total_points} tensor nodes exceed the cap of {MAX_TENSOR_POINTS}"
+            f"{grid} = {total_points} tensor nodes exceed the cap of {MAX_TENSOR_POINTS}"
         )
     partials = []
     abs_partials = []
@@ -220,8 +237,9 @@ def _tensor_apply(phi, nodes, weights, dim):
         w = np.ones(idx.size)
         rem = idx
         for j in range(dim - 1, -1, -1):
-            digit = rem % n
-            rem = rem // n
+            nodes, weights = axes[j]
+            digit = rem % sizes[j]
+            rem = rem // sizes[j]
             pts[:, j] = nodes[digit]
             w *= weights[digit]
         vals = np.asarray(phi(pts), dtype=float)
@@ -239,7 +257,7 @@ def _tensor_apply(phi, nodes, weights, dim):
 
 def _box_estimate(phi, dim, radius, nodes_per_axis):
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
-    return _tensor_apply(phi, radius * base_nodes, radius * base_weights, dim)
+    return _tensor_apply(phi, [(radius * base_nodes, radius * base_weights)] * dim)
 
 
 def integrate_box(
@@ -320,6 +338,129 @@ def integrate_box(
     )
 
 
+def _sphere_rule(dim: int, n: int):
+    """Per-angle rules of a pass with n nodes per angle, and the map from
+    their parameter points to points of the unit sphere S^(dim-1), dim 2 or 3."""
+    m = n if dim == 2 else 2 * n
+    azimuth = (2.0 * math.pi * np.arange(m) / m, np.full(m, 2.0 * math.pi / m))
+    if dim == 2:
+        return [azimuth], lambda params: np.column_stack(
+            (np.cos(params[:, 0]), np.sin(params[:, 0]))
+        )
+
+    def to_sphere(params):
+        # d sigma = dt d phi with t = cos(theta).
+        t, azi = params[:, 0], params[:, 1]
+        s = np.sqrt(1.0 - t * t)
+        return np.column_stack((s * np.cos(azi), s * np.sin(azi), t))
+
+    return [gauss_legendre_rule(n), azimuth], to_sphere
+
+
+def _converged_sphere_sum(h, dim, spec):
+    """Sums of w * h and of w * |h| over the sphere rule, with nodes per
+    angle doubling from ``spec.nodes_per_axis`` until two passes agree."""
+    n, prev, effort = spec.nodes_per_axis, None, 0
+    for _ in range(_MAX_REFINEMENTS + 1):
+        if n * (2 * n if dim == 3 else 1) > _MAX_SPHERE_POINTS:
+            break
+        axes, to_sphere = _sphere_rule(dim, n)
+        cur, magnitude, used = _tensor_apply(lambda params: h(to_sphere(params)), axes)
+        effort += used
+        if prev is not None and abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300):
+            return cur, magnitude, effort
+        prev, n = cur, 2 * n
+    raise EffortError(
+        f"sphere rule did not converge to rel_tol={spec.rel_tol} below {n} nodes per angle; "
+        "g may vanish or nearly vanish on a ray"
+    )
+
+
+def _times_exp(s: float, log_scale: float) -> float:
+    """s * exp(log_scale) in log space; EvaluationError beyond the double range."""
+    if s == 0.0:
+        return 0.0
+    return math.copysign(exp_in_range(log_scale + math.log(abs(s)), "the polar integral"), s)
+
+
+def integrate_polar(
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    k: float,
+    d_g: float,
+    lam: float,
+    spec: QuadratureSpec,
+) -> IntegralEstimate:
+    """Integral of f(x) * exp(-lam * g(x)) over R^dim as a sphere integral.
+
+    For f positively homogeneous of degree k and g of degree d_g > 0,
+    positive on the unit sphere S^(dim-1), integrating out the radius
+    gives, with p = (dim + k) / d_g,
+
+        integral f exp(-lam g) dx = Gamma(p) / (d_g lam^p) * integral f g^(-p) dsigma.
+
+    The sphere rule is the exact two-point sum over {+1, -1} for dim 1,
+    a periodic trapezoid rule in the angle for dim 2, and Gauss-Legendre
+    in cos(theta) times a trapezoid rule with twice the nodes in the
+    azimuth for dim 3.  Nodes per angle start at ``spec.nodes_per_axis``
+    and double until two passes differ by at most ``spec.rel_tol`` times
+    the later pass's magnitude, max(|value|, sum of w * |f g^(-p)|), as
+    in ``integrate_box``; ``spec.engine`` and ``spec.box_radius`` are
+    not used.  The scale Gamma(p) / (d_g lam^p) is formed in log space.
+
+    Raises UnboundedSublevelError when g is not positive at a node (g
+    vanishes on a ray, so its sublevel sets are unbounded),
+    EvaluationError on a non-finite value, and EffortError when the
+    passes do not agree within 6 doublings or before a pass would exceed
+    2^21 nodes.
+
+    Parameters
+    ----------
+    f, g : callable
+        Vectorized evaluators, (N, dim) -> (N,); the homogeneity degrees
+        are the caller's facts, not checked here.
+    dim : int
+        Ambient dimension, 1 to 3.
+    k, d_g : float
+        Homogeneity degrees of f (k >= 0) and g (d_g > 0).
+    lam : float
+        Positive weight scale.
+    """
+    if dim not in (1, 2, 3):
+        raise InputError(f"integrate_polar supports dim 1 to 3, got {dim!r}")
+    if not (k >= 0 and d_g > 0):
+        raise InputError(f"degrees must satisfy k >= 0 and d_g > 0, got k={k!r}, d_g={d_g!r}")
+    if not lam > 0:
+        raise InputError(f"lam must be positive, got {lam!r}")
+    p = (dim + k) / d_g
+
+    def h(pts):
+        g_vals = np.asarray(g(pts), dtype=float)
+        if np.any(g_vals <= 0.0):
+            raise UnboundedSublevelError(
+                "g is not positive on the unit sphere (it vanishes on a ray); "
+                "its sublevel sets are unbounded"
+            )
+        with np.errstate(over="ignore"):
+            return np.asarray(f(pts), dtype=float) * g_vals ** -p
+
+    if dim == 1:
+        # S^0 = {+1, -1} under counting measure: the two-point sum is exact.
+        value, magnitude, effort = _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
+    else:
+        # No node lies exactly on a coordinate axis (the d = 3 grid skips
+        # the poles, and cos(pi/2) != 0 in floating point), yet that is
+        # where a degenerate g such as x1^2 most often vanishes.
+        h(np.vstack((np.eye(dim), -np.eye(dim))))
+        value, magnitude, effort = _converged_sphere_sum(h, dim, spec)
+    log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
+    return IntegralEstimate(
+        _times_exp(value, log_scale), None, ENGINE_POLAR, effort, None,
+        _times_exp(magnitude, log_scale),
+    )
+
+
 def integrate_gaussian_quadratic(
     f: Callable[[np.ndarray], np.ndarray],
     Q: np.ndarray,
@@ -330,9 +471,10 @@ def integrate_gaussian_quadratic(
 
     Substituting x = S^{-1} u / sqrt(lam), where Q = S'S is a Cholesky
     factorization, reduces the integral to a standard Gaussian-weight
-    tensor rule; the result is exact for polynomial f of degree
-    <= 2 * nodes_per_axis - 1.  Rules are capped at MAX_HERMITE_NODES
-    nodes per axis.
+    tensor rule, exact for polynomial f of degree <= 2n - 1 with n nodes
+    per axis.  n is ``nodes_per_axis``, raised to floor(deg f / 2) + 1
+    when f is a MultiPoly, and capped at MAX_HERMITE_NODES; a MultiPoly
+    f of degree above 2 * MAX_HERMITE_NODES - 1 raises EffortError.
 
     Parameters
     ----------
@@ -365,13 +507,39 @@ def integrate_gaussian_quadratic(
     # x = M u with M = S^{-1} / sqrt(lam), S = chol_lower'.
     transform = np.linalg.inv(chol_lower.T) / math.sqrt(lam)
 
-    nodes, weights = gauss_hermite_rule(min(spec.nodes_per_axis, MAX_HERMITE_NODES))
+    n, degree, shrink = spec.nodes_per_axis, None, 0
+    if isinstance(f, MultiPoly):
+        # An n-node rule is exact to degree 2n - 1, so f's degree sizes it.
+        if f.degree > 2 * MAX_HERMITE_NODES - 1:
+            raise EffortError(
+                f"f has degree {f.degree}; the largest Gauss-Hermite rule "
+                f"({MAX_HERMITE_NODES} nodes) is exact only to degree {2 * MAX_HERMITE_NODES - 1}"
+            )
+        n = max(n, f.degree // 2 + 1)
+        degree = f.homogeneity_degree()
+    nodes, weights = gauss_hermite_rule(min(n, MAX_HERMITE_NODES))
+    if degree:
+        # Every node has |x_j| <= reach.  Where f's terms could overflow
+        # there, evaluate at x / 2^m: f(x) = 2^(m * degree) f(x / 2^m)
+        # exactly, and the outer nodes' tiny weights keep the sum finite.
+        reach = float(np.max(np.abs(transform).sum(axis=1))) * float(nodes[-1])
+        bound = degree * math.log2(reach) + math.log2(math.fsum(abs(c) for _, c in f.terms))
+        if bound >= sys.float_info.max_exp - 1:
+            shrink = max(0, math.ceil(math.log2(reach)))
+    scaled = transform * 2.0**-shrink
 
     def phi(u_pts):
-        return np.asarray(f(u_pts @ transform.T), dtype=float)
+        return np.asarray(f(u_pts @ scaled.T), dtype=float)
 
-    raw, _, effort = _tensor_apply(phi, nodes, weights, dim)
+    raw, _, effort = _tensor_apply(phi, [(nodes, weights)] * dim)
     value = raw / (lam ** (dim / 2.0) * det_factor)
+    if shrink:
+        try:
+            value = math.ldexp(value, shrink * degree)
+        except OverflowError:
+            raise EvaluationError(
+                "the Gaussian-weight integral overflows double precision"
+            ) from None
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort)
 
 

@@ -14,6 +14,13 @@ explicit:
 
 and v itself has the closed form
 v(y) = y^((d+d_f)/d_g) * integral(f * exp(-g)) / Gamma(1 + (d+d_f)/d_g).
+The same homogeneity argument, with p = (d + d_f)/d_g, turns the dual
+integral into one over the unit sphere,
+
+    integral of f * exp(-lam * g) = Gamma(p) / (d_g * lam^p) * integral of f * g^(-p) dsigma,
+
+so homogeneous polynomial data in d <= 3 is integrated there, with no
+box, tail or enlargement loop (``dual_integral`` dispatches).
 
 For a general polynomial f (no sign restriction) the homogeneous
 components f_k are dualized one at a time with their own lambda_{y,k}.
@@ -41,6 +48,7 @@ from .cubature import (
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
+    integrate_polar,
     sphere_minimum,
 )
 from .errors import BracketError, EffortError, EvaluationNoiseError, InputError
@@ -194,8 +202,8 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
 
 
 def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec) -> float:
-    """Crude per-engine error proxy attached to certificates; the box
-    engine's is its convergence tolerance on the scale it tested."""
+    """Crude per-engine error proxy attached to certificates; the box and
+    polar engines' is their convergence tolerance on the scale they tested."""
     if est.engine == ENGINE_MONTE_CARLO:
         return est.std_error
     if est.engine == ENGINE_GAUSSIAN:
@@ -206,22 +214,37 @@ def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec) -> float:
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
-    Dispatches on the structure of g, overriding ``spec.engine``: a
-    positive-definite quadratic form goes to the Gaussian-weight rule,
-    anything else to box Gauss-Legendre with an automatic radius (the
-    initial radius puts the weight's boundary exponent at 40 when g is
-    homogeneous with a positive sphere minimum).  ``spec.box_radius`` is
-    ignored: the box is always chosen and verified here.
+    Dispatches on the structure of the data, overriding ``spec.engine``,
+    in this order:
+
+    1. g a positive-definite quadratic form: the Gaussian-weight rule.
+    2. f and g both MultiPoly and homogeneous (counted from their terms,
+       so a fact rather than a claim), g of degree >= 1, dim <= 3: the
+       polar engine, one integral over the unit sphere.
+    3. Anything else (opaque callables with stated degrees,
+       non-homogeneous f or g, dim >= 4): box Gauss-Legendre with an
+       automatic radius; the initial radius puts the weight's boundary
+       exponent at 40 when g is homogeneous with a positive sphere
+       minimum.
+
+    ``spec.box_radius`` is ignored: the box is always chosen and
+    verified here.  g is checked for nonnegativity at every point the
+    polar and box engines touch.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
+    g_eval = _checked_g(problem)
     if isinstance(problem.g, MultiPoly):
         Q = _quadratic_form_matrix(problem.g)
         if Q is not None:
             gaussian_spec = replace(spec, engine=ENGINE_GAUSSIAN)
             return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
+        if isinstance(problem.f, MultiPoly) and problem.dim <= 3:
+            k = problem.f.homogeneity_degree()
+            d_g = problem.g.homogeneity_degree()
+            if k is not None and d_g not in (None, 0):
+                return integrate_polar(problem.f, g_eval, problem.dim, k, d_g, lam, spec)
 
-    g_eval = _checked_g(problem)
     f_eval = problem.f
 
     def phi(pts):

@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError
-from .special import log_gamma, power_over_gamma
+from .special import exp_in_range, log_gamma, power_over_gamma
 
 
 def _validate_alpha(alpha) -> tuple[float, ...]:
@@ -73,7 +73,10 @@ class GeneralizedPolynomial:
 
 def multivariate_laplace_monomial(alpha, gamma_vec) -> float:
     """prod_i Gamma(1 + alpha_i) / gamma_i^(1 + alpha_i), the
-    orthant Laplace transform of x^alpha evaluated at gamma_vec > 0."""
+    orthant Laplace transform of x^alpha evaluated at gamma_vec > 0.
+
+    Accumulated in log space; a value beyond the double range raises
+    EvaluationError."""
     alpha = _validate_alpha(alpha)
     gamma_vec = tuple(float(gv) for gv in gamma_vec)
     if len(gamma_vec) != len(alpha):
@@ -86,7 +89,7 @@ def multivariate_laplace_monomial(alpha, gamma_vec) -> float:
     log_value = math.fsum(
         log_gamma(1.0 + a) - (1.0 + a) * math.log(gv) for a, gv in zip(alpha, gamma_vec)
     )
-    return math.exp(log_value)
+    return exp_in_range(log_value, "the orthant Laplace transform of x^alpha")
 
 
 def simplex_monomial_v(alpha, y: float) -> float:

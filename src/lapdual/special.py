@@ -3,7 +3,8 @@
 Thin wrappers over ``math.gamma`` and ``math.lgamma`` that reject
 nonpositive arguments: every caller in this package has a strictly
 positive argument, so no reflection path is offered.  Also the
-log-space kernel y^p * C / Gamma(1 + p) shared by the closed forms of v.
+log-space kernel y^p * C / Gamma(1 + p) shared by the closed forms of v,
+and the overflow guard the log-space results share.
 """
 
 import math
@@ -40,11 +41,15 @@ def power_over_gamma(y: float, p: float, log_coef: float) -> float:
     Neither y^p nor Gamma(1 + p) needs to fit in a double, only the
     result; a result beyond the double range raises EvaluationError.
     """
-    log_value = p * math.log(y) + log_coef - log_gamma(1.0 + p)
+    return exp_in_range(p * math.log(y) + log_coef - log_gamma(1.0 + p), "y^p * C / Gamma(1 + p)")
+
+
+def exp_in_range(log_value: float, what: str) -> float:
+    """exp(log_value), or EvaluationError naming ``what`` when the result
+    is beyond the double range; a result below it rounds to 0."""
     try:
         return math.exp(log_value)
     except OverflowError:
         raise EvaluationError(
-            f"y^p * C / Gamma(1 + p) = exp({log_value}) overflows double precision "
-            f"(y = {y!r}, p = {p!r})"
+            f"{what} = exp({log_value}) overflows double precision"
         ) from None

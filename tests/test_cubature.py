@@ -15,6 +15,8 @@ from lapdual import (
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
+    integrate_polar,
+    lambda_y_homogeneous,
     monte_carlo_sublevel,
     sphere_minimum,
 )
@@ -321,3 +323,123 @@ def test_quadrature_spec_validation():
         QuadratureSpec(seed=-1)
     with pytest.raises(InputError):
         QuadratureSpec(seed=2**64)
+
+
+def test_gaussian_rule_sized_to_f_degree():
+    # x^400 against exp(-lam * 10 x^2) needs 201 nodes; a fixed 64-node
+    # rule returned 2.5e-216 for v(1) = 2 * 10^-200.5 / 401.
+    f = MultiPoly.monomial(1, (400,))
+    spec = QuadratureSpec(engine="gaussian-quadratic")
+    lam = lambda_y_homogeneous(1, 400, 2, 1.0)
+    est = integrate_gaussian_quadratic(f, 10.0 * np.eye(1), lam, spec)
+    assert est.effort == 201
+    assert est.value == pytest.approx(2.0 * 10**-200.5 / 401.0, rel=1e-12)
+    # At lam = 1 the outer nodes reach |x| ~ 6.2, where x^400 overflows.
+    base = integrate_gaussian_quadratic(f, 10.0 * np.eye(1), 1.0, spec)
+    exact = math.exp(math.lgamma(200.5) - 200.5 * math.log(10.0))
+    assert base.value == pytest.approx(exact, rel=1e-12)
+
+
+def test_gaussian_rule_refuses_degree_beyond_largest_rule():
+    f = MultiPoly.monomial(1, (2 * MAX_HERMITE_NODES,))
+    spec = QuadratureSpec(engine="gaussian-quadratic")
+    with pytest.raises(EffortError):
+        integrate_gaussian_quadratic(f, np.eye(1), 1.0, spec)
+
+
+def test_integrate_box_vanishing_component_converges(quartic_g):
+    # f = xy integrates to zero over the symmetric quartic; the box loop
+    # judges convergence on the scale of sum(w * |phi|), not of |v|.
+    # The initial radius is the one dual_integral picks for homogeneous g.
+    lam = lambda_y_homogeneous(2, 2, 4, 1.0)
+    radius = (40.0 / (lam * sphere_minimum(quartic_g, 2))) ** 0.25
+
+    def phi(p):
+        return p[:, 0] * p[:, 1] * np.exp(-lam * quartic_g(p))
+
+    spec = QuadratureSpec()
+    est = integrate_box(phi, 2, spec, initial_radius=radius)
+    assert est.box_radius_used >= 2.0 * radius  # the enlargement loop ran
+    assert abs(est.value) <= spec.rel_tol * max(abs(est.value), est.magnitude) <= 1e-8
+
+
+def _sphere_quartic(dim, a):
+    return MultiPoly(dim, {tuple(4 if j == i else 0 for j in range(dim)): a_i for i, a_i in enumerate(a)})
+
+
+def _separable_quartic_integral(f_terms, a, lam):
+    """integral of f exp(-lam * sum a_i x_i^4) over R^d, term by term:
+    integral of x^b exp(-c x^4) dx = Gamma((b + 1)/4) / (2 c^((b + 1)/4)), b even."""
+    total = 0.0
+    for exps, coef in f_terms.items():
+        if any(b % 2 for b in exps):
+            continue
+        log_term = sum(
+            math.lgamma((b + 1) / 4.0) - math.log(2.0) - (b + 1) / 4.0 * math.log(lam * a_i)
+            for b, a_i in zip(exps, a)
+        )
+        total += coef * math.exp(log_term)
+    return total
+
+
+def test_polar_one_dimensional_two_point_sum():
+    f = MultiPoly.monomial(1, (2,))
+    g = MultiPoly.monomial(1, (4,))
+    est = integrate_polar(f, g, 1, 2, 4, 2.0, QuadratureSpec())
+    assert est.engine == "polar" and est.effort == 2
+    exact = math.exp(math.lgamma(0.75) - math.log(2.0) - 0.75 * math.log(2.0))
+    assert est.value == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("family, d_g", [("quartic", 4), ("sextic", 6)])
+@pytest.mark.parametrize("f_terms, k", [({(0, 0): 1.0}, 0), ({(2, 0): 1.0, (1, 1): -0.5, (0, 2): 2.0}, 2)])
+def test_polar_fig1_matches_circle_quadrature(family, d_g, f_terms, k):
+    mpmath = pytest.importorskip("mpmath")
+    c = -1.95
+    h = d_g // 2
+    g = MultiPoly(2, {(d_g, 0): 1.0, (0, d_g): 1.0, (h, h): c})
+    f = MultiPoly(2, f_terms)
+    lam = lambda_y_homogeneous(2, k, d_g, 1.0)
+    p = (2.0 + k) / d_g
+    with mpmath.workdps(30):
+        def on_circle(poly, t):
+            x, y = mpmath.cos(t), mpmath.sin(t)
+            return sum(coef * x ** e[0] * y ** e[1] for e, coef in poly.terms)
+
+        # g is smallest at the odd multiples of pi/4: split there.
+        pieces = [mpmath.pi * j / 4 for j in range(9)]
+        sphere = mpmath.quad(lambda t: on_circle(f, t) * on_circle(g, t) ** -p, pieces)
+        exact = float(mpmath.gamma(p) / (d_g * mpmath.mpf(lam) ** p) * sphere)
+    est = integrate_polar(f, g, 2, k, d_g, lam, QuadratureSpec())
+    assert est.value == pytest.approx(exact, rel=1e-13)
+    assert abs(est.value - exact) <= 1e-9 * max(abs(est.value), est.magnitude)
+
+
+def test_polar_three_dim_separable_quartic():
+    a = (1.0, 2.5, 0.7)
+    f_terms = {(2, 2, 0): 1.0, (0, 0, 4): 3.0, (4, 0, 0): -1.0, (1, 3, 0): 5.0}
+    lam = 1.7
+    est = integrate_polar(MultiPoly(3, f_terms), _sphere_quartic(3, a), 3, 4, 4, lam, QuadratureSpec())
+    assert est.value == pytest.approx(_separable_quartic_integral(f_terms, a, lam), rel=1e-13)
+
+
+def test_polar_non_finite_value():
+    # g tiny but positive: g^(-p) overflows at every node.
+    def g(p):
+        return np.full(p.shape[0], 1e-300)
+
+    f = MultiPoly.constant(2, 1.0)
+    with pytest.raises(EvaluationError):
+        integrate_polar(f, g, 2, 0, 1, 1.0, QuadratureSpec())
+
+
+def test_polar_input_errors():
+    f = MultiPoly.constant(4, 1.0)
+    g = _sphere_quartic(4, (1.0,) * 4)
+    with pytest.raises(InputError):
+        integrate_polar(f, g, 4, 0, 4, 1.0, QuadratureSpec())
+    f2, g2 = MultiPoly.constant(2, 1.0), _sphere_quartic(2, (1.0, 1.0))
+    with pytest.raises(InputError):
+        integrate_polar(f2, g2, 2, 0, 4, -1.0, QuadratureSpec())
+    with pytest.raises(InputError):
+        integrate_polar(f2, g2, 2, 0, 0, 1.0, QuadratureSpec())

@@ -6,10 +6,13 @@ import pytest
 from lapdual import (
     BracketError,
     DualCertificate,
+    EffortError,
     InputError,
+    LapdualError,
     MultiPoly,
     QuadratureSpec,
     SublevelProblem,
+    UnboundedSublevelError,
     auto_enclosing_radius,
     dual_constant,
     dual_integral,
@@ -24,6 +27,7 @@ from lapdual import (
     v_homogeneous_closed_form,
     v_polynomial,
 )
+from lapdual import duality
 
 SPEC = QuadratureSpec()
 
@@ -106,7 +110,7 @@ def test_dual_integral_quartic_matches_monte_carlo(quartic_g, one_2d):
     problem = SublevelProblem(2, one_2d, quartic_g)
     lam_1 = lambda_y_homogeneous(2, 0, 4, 1.0)
     est = dual_integral(problem, lam_1, QuadratureSpec(nodes_per_axis=96))
-    assert est.engine == "box-gauss-legendre"
+    assert est.engine == "polar"
     radius = auto_enclosing_radius(quartic_g, 1.0)
     mc = monte_carlo_sublevel(
         one_2d, quartic_g, 2, 1.0, radius,
@@ -204,6 +208,70 @@ def test_v_polynomial_vanishing_box_component_converges(quartic_g):
     value, certs = v_polynomial(problem, 1.0, SPEC)
     assert certs[0].method == "dual-cubature"
     assert abs(value) <= certs[0].error_estimate <= 1e-8
+
+
+def test_dual_box_path_ignores_numeric_box_radius(quartic_g):
+    # An opaque f keeps the quartic on the box engine.  box_radius 3.0
+    # encloses K_1, but the dual still chooses and verifies its own box.
+    f_one = lambda p: np.ones(p.shape[0])
+    opaque = SublevelProblem(2, f_one, quartic_g, f_degree=0)
+    lam = lambda_y_homogeneous(2, 0, 4, 1.0)
+    auto = dual_integral(opaque, lam, SPEC)
+    numeric = dual_integral(opaque, lam, QuadratureSpec(box_radius=3.0))
+    assert auto.engine == numeric.engine == "box-gauss-legendre"
+    assert numeric.value == auto.value
+    polar = dual_integral(SublevelProblem(2, MultiPoly.constant(2, 1.0), quartic_g), lam, SPEC)
+    assert polar.engine == "polar"
+    assert abs(auto.value - polar.value) <= SPEC.rel_tol * auto.magnitude
+
+
+def test_homogeneous_polynomials_never_reach_the_box(quartic_g, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box path ran")
+
+    monkeypatch.setattr(duality, "integrate_box", refuse)
+    monkeypatch.setattr(duality, "sphere_minimum", refuse)
+    f = MultiPoly(2, {(0, 0): 1.0, (1, 0): 2.0, (2, 0): -0.5, (1, 1): 3.0, (0, 4): 1.0})
+    value, certs = v_polynomial(SublevelProblem(2, f, quartic_g), 1.0, SPEC)
+    assert [c.method for c in certs] == ["dual-cubature"] * 4
+    assert value == pytest.approx(sum(c.v_value for c in certs), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "dim, f, g",
+    [
+        (1, {(3,): 1.0}, {(4,): 2.0}),
+        (2, {(1, 2): 1.0, (3, 0): -2.0}, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.925}),
+        (3, {(1, 2, 0): 1.0, (1, 1, 1): 4.0}, {(4, 0, 0): 1.0, (0, 4, 0): 2.0, (0, 0, 4): 0.5}),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_polar_odd_component_within_certificate(dim, f, g):
+    problem = SublevelProblem(dim, MultiPoly(dim, f), MultiPoly(dim, g))
+    cert = v_dual_homogeneous(problem, 1.0, SPEC)
+    assert cert.method == "dual-cubature"
+    assert abs(cert.v_value) <= cert.error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "dim, g, error",
+    [
+        # x1^2 vanishes on the x2 axis: K_y is an unbounded strip.
+        (2, {(2, 0): 1.0}, LapdualError),
+        (2, {(2, 2): 1.0}, UnboundedSublevelError),
+        # (x1 - 1.1 x2)^2 vanishes on a ray that no node hits, so the
+        # passes never agree and the doubling cap refuses.
+        (2, {(2, 0): 1.0, (1, 1): -2.2, (0, 2): 1.21}, EffortError),
+        (2, {(4, 0): 1.0, (0, 4): -1.0}, InputError),  # negative on the x2 axis
+        (3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0}, LapdualError),
+        (3, {(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0}, InputError),
+    ],
+    ids=["x1sq", "x1sq-x2sq", "off-axis-ray", "negative", "3d-x3-axis", "3d-cubic"],
+)
+def test_polar_degenerate_g_raises(dim, g, error):
+    problem = SublevelProblem(dim, MultiPoly.constant(dim, 1.0), MultiPoly(dim, g))
+    with pytest.raises(error):
+        v_polynomial(problem, 1.0, SPEC)
 
 
 def test_v_polynomial_zero(disc_g):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lapdual import (
+    EvaluationError,
     GeneralizedPolynomial,
     InputError,
     QuadratureSpec,
@@ -82,6 +83,14 @@ def test_simplex_large_exponents_survive_in_log_space():
 def test_simplex_laplace_of_v():
     assert simplex_laplace_of_v((0.0, 0.0), 1.0) == pytest.approx(1.0, rel=1e-13)
     assert simplex_laplace_of_v((1.0, 0.0), 2.0) == pytest.approx(1.0 / 16.0, rel=1e-13)
+
+
+def test_simplex_laplace_overflow_is_reported():
+    # Gamma(201) / 0.5^202 is beyond the double range.
+    with pytest.raises(EvaluationError):
+        simplex_laplace_of_v((200.0, 0.0), 0.5)
+    with pytest.raises(EvaluationError):
+        multivariate_laplace_monomial((200.0, 0.0), (0.5, 0.5))
 
 
 def test_simplex_laplace_identity():
