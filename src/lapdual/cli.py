@@ -32,8 +32,8 @@ from .duality import (
     METHOD_ROOT_FOUND,
     DualCertificate,
     SublevelProblem,
+    _find_lambda,
     dual_integral,
-    find_lambda_for_target,
     lambda_y_for_order,
     lambda_y_homogeneous,
     laplace_of_v,
@@ -295,10 +295,7 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
         raise InputError("find-lambda requires polynomial mode")
     y = _single_y(pf, 'find-lambda requires a single "y" (the level the target belongs to)')
     problem = SublevelProblem(pf.dim, pf.f, pf.g)
-    lam = find_lambda_for_target(
-        problem, args.target, (args.bracket_lo, args.bracket_hi), spec
-    )
-    phi = dual_integral(problem, lam, spec).value
+    lam, phi = _find_lambda(problem, args.target, (args.bracket_lo, args.bracket_hi), spec)
     cert = DualCertificate(y, lam, phi, METHOD_ROOT_FOUND, abs(phi - args.target))
     doc = {
         "lambda": lam,

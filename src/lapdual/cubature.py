@@ -117,9 +117,9 @@ class IntegralEstimate:
     ``std_error`` is present exactly when the engine is Monte Carlo;
     deterministic engines report None.  ``effort`` counts integrand
     evaluations actually performed.  ``magnitude`` is the sum of
-    w * |integrand| over the final pass of the box or polar engine (for
-    the polar engine, scaled like its value), the scale its convergence
-    test and error estimate use; other engines report None.
+    w * |integrand| over the final pass of the box, polar or
+    Gaussian-weight engine (for the latter two, scaled like the value),
+    the scale their error estimates use; Monte Carlo reports None.
     """
 
     value: float
@@ -531,16 +531,18 @@ def integrate_gaussian_quadratic(
     def phi(u_pts):
         return np.asarray(f(u_pts @ scaled.T), dtype=float)
 
-    raw, _, effort = _tensor_apply(phi, [(nodes, weights)] * dim)
-    value = raw / (lam ** (dim / 2.0) * det_factor)
+    raw, raw_magnitude, effort = _tensor_apply(phi, [(nodes, weights)] * dim)
+    scale = lam ** (dim / 2.0) * det_factor
+    value, magnitude = raw / scale, raw_magnitude / scale
     if shrink:
         try:
             value = math.ldexp(value, shrink * degree)
+            magnitude = math.ldexp(magnitude, shrink * degree)
         except OverflowError:
             raise EvaluationError(
                 "the Gaussian-weight integral overflows double precision"
             ) from None
-    return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort)
+    return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, magnitude=magnitude)
 
 
 def monte_carlo_sublevel(

@@ -25,9 +25,10 @@ box, tail or enlargement loop (``dual_integral`` dispatches).
 For a general polynomial f (no sign restriction) the homogeneous
 components f_k are dualized one at a time with their own lambda_{y,k}.
 For the fully general case this module offers only the inverse reading:
-given a target value v(y), bisection on the monotone map
-phi(lam) = integral(f * exp(-lam * g)) recovers the dual value, making
-it a verification tool rather than an independent evaluator.
+given a target value v(y), a secant search on log phi against log lam,
+for the monotone map phi(lam) = integral(f * exp(-lam * g)), recovers
+the dual value, making it a verification tool rather than an
+independent evaluator.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,14 @@ _G_NONNEG_TOL = 1e-12
 # exp(-40) ~ 4e-18 sits below double resolution of any bulk integral, so a
 # box whose boundary weight exponent reaches 40 loses no measurable mass.
 _TAIL_EXPONENT = 40.0
+
+# find_lambda_for_target's cap on evaluations of phi, how much longer than
+# the last one a step of its outward walk may be, and the relative width
+# in lam at which it stops (also its shortest step, so the walk never
+# stalls below the resolution of log lam).
+_MAX_PHI_EVALS = 100
+_WALK_GROWTH = 4.0
+_WIDTH_RTOL = 1e-10
 
 # laplace_transform_by_quadrature's y-side rule and its cap on extending Y.
 _TRANSFORM_PANELS = 64
@@ -201,13 +210,31 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
-def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec) -> float:
-    """Crude per-engine error proxy attached to certificates; the box and
-    polar engines' is their convergence tolerance on the scale they tested."""
+def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec, problem: SublevelProblem) -> float:
+    """Per-engine error proxy attached to certificates.
+
+    The box and polar engines report their convergence tolerance on the
+    scale they tested.  The Gaussian-weight rule is exact for a MultiPoly
+    f, so only rounding is left: each node coordinate carries about
+    dim + 1 roundings from the Cholesky transform, lambda a few more, and
+    a degree-k monomial multiplies their relative error by k.  The
+    Cholesky factor and det Q lose a further factor of the condition
+    number of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q)
+    (1 for a diagonal Q).  That bound is applied to
+    max(|v|, sum of w * |f|), so a component that cancels to ~0 keeps an
+    honest error.  An opaque f keeps a fixed 1e-14 * |v|.
+    """
     if est.engine == ENGINE_MONTE_CARLO:
         return est.std_error
     if est.engine == ENGINE_GAUSSIAN:
-        return abs(est.value) * 1e-14
+        if not isinstance(problem.f, MultiPoly):
+            return abs(est.value) * 1e-14
+        Q = _quadratic_form_matrix(problem.g)
+        scale = np.sqrt(np.diag(Q))
+        kappa = float(np.linalg.cond(Q / np.outer(scale, scale)))
+        dim = problem.dim
+        rounding = (problem.f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
+        return max(abs(est.value), est.magnitude) * rounding
     return max(abs(est.value), est.magnitude) * spec.rel_tol
 
 
@@ -292,7 +319,7 @@ def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec)
     lam = lambda_y_homogeneous(problem.dim, problem.f_degree, problem.g_degree, y)
     est = dual_integral(problem, lam, spec)
     method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
-    return DualCertificate(y, lam, est.value, method, _error_estimate(est, spec))
+    return DualCertificate(y, lam, est.value, method, _error_estimate(est, spec, problem))
 
 
 def v_polynomial(
@@ -335,57 +362,129 @@ def find_lambda_for_target(
 ) -> float:
     """Recover lam with phi(lam) = integral(f * exp(-lam*g)) = target.
 
-    Bisection (in log space) on the nonincreasing map phi; the bracket
-    must straddle the target.  Iteration stops when the bracket width
-    falls below 1e-10 relative or the residual drops below the engine's
-    own error estimate, after at most 200 steps; the result is checked
-    against ``spec.rel_tol * target``.
+    A safeguarded secant search on log phi against log lam, where phi is
+    nonincreasing.  For homogeneous data log phi is a straight line in
+    log lam, so the secant step is exact there; elsewhere it is nearly so.
+    The search starts at the geometric middle of the bracket and walks
+    toward the target by secant extrapolation, each step at most
+    4 times the last and clamped to the bracket, until two evaluated
+    points straddle the target; a bracket end is evaluated only when the
+    walk reaches it, and BracketError is raised when that end is still
+    on the target's far side.  The Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) then closes in on the straddling
+    pair, bisecting in log space when a phi is not positive or a step
+    leaves the interval.
+
+    Every evaluated phi is checked for monotonicity against all the
+    others, with noise floor 4 * max(error estimate) of each pair
+    (EvaluationNoiseError).  The search stops when |phi - target| is
+    within the engine's own error estimate or the straddling interval
+    is below 1e-10 relative, after at most 100 evaluations; the phi at
+    the returned lam is checked against ``spec.rel_tol * target``.
     """
+    return _find_lambda(problem, target, bracket, spec)[0]
+
+
+class _Sample(NamedTuple):
+    """One evaluation of phi in find_lambda_for_target's search."""
+
+    u: float  # log lam
+    lam: float
+    phi: float
+    err: float  # the engine's error estimate
+    log_ratio: float | None  # log(phi / target); None when phi <= 0
+
+
+def _find_lambda(
+    problem: SublevelProblem,
+    target: float,
+    bracket: tuple[float, float],
+    spec: QuadratureSpec,
+) -> tuple[float, float]:
+    """find_lambda_for_target's search; returns (lam, phi(lam))."""
     lo, hi = bracket
     if not (0 < lo < hi):
         raise InputError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
     if not target > 0:
         raise InputError(f"target must be positive, got {target!r}")
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    log_target = math.log(target)
+    samples: list[_Sample] = []
 
-    def phi(lam):
+    def evaluate(u):
+        lam = lo if u <= u_lo else hi if u >= u_hi else math.exp(u)
         est = dual_integral(problem, lam, spec)
-        return est.value, _error_estimate(est, spec)
+        phi, err = est.value, _error_estimate(est, spec, problem)
+        for s in samples:
+            floor = 4.0 * max(err, s.err, 1e-300)
+            if (lam > s.lam and phi > s.phi + floor) or (lam < s.lam and phi < s.phi - floor):
+                raise EvaluationNoiseError(
+                    f"phi({lam}) = {phi} and phi({s.lam}) = {s.phi} break monotonicity"
+                )
+        sample = _Sample(u, lam, phi, err, math.log(phi) - log_target if phi > 0 else None)
+        samples.append(sample)
+        return sample
 
-    phi_lo, err_lo = phi(lo)
-    phi_hi, err_hi = phi(hi)
-    if not (phi_hi < target < phi_lo):
-        raise BracketError(
-            f"target {target} is not strictly between phi(hi)={phi_hi} and phi(lo)={phi_lo}"
-        )
-    noise_floor = 4.0 * max(err_lo, err_hi, 1e-300)
+    def converged(s):
+        return abs(s.phi - target) <= max(s.err, 1e-300)
 
-    lam_star = math.sqrt(lo * hi)
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        phi_mid, err_mid = phi(mid)
-        if phi_mid > phi_lo + noise_floor or phi_mid < phi_hi - noise_floor:
-            raise EvaluationNoiseError(
-                f"phi({mid}) = {phi_mid} breaks monotonicity between "
-                f"phi({lo}) = {phi_lo} and phi({hi}) = {phi_hi}"
+    def above(s):
+        return s.phi > target
+
+    # Walk out from the middle until two samples straddle the target.
+    prev, cur = None, evaluate(0.5 * (u_lo + u_hi))
+    while (
+        len(samples) < _MAX_PHI_EVALS
+        and not converged(cur)
+        and (prev is None or above(prev) == above(cur))
+    ):
+        direction = 1.0 if above(cur) else -1.0
+        if cur.u == (u_hi if direction > 0 else u_lo):
+            raise BracketError(
+                f"target {target} is not between phi({hi}) and phi({lo}): "
+                f"phi({cur.lam}) = {cur.phi}"
             )
-        lam_star = mid
-        if abs(phi_mid - target) <= max(err_mid, 1e-300):
-            break
-        if phi_mid > target:
-            lo, phi_lo = mid, phi_mid
+        if prev is None:
+            # No slope yet: guess phi ~ 1/lam, a slope of -1.
+            step = cur.log_ratio if cur.log_ratio is not None else 1.0
+            longest = math.inf
         else:
-            hi, phi_hi = mid, phi_mid
-        if hi - lo <= 1e-10 * mid:
-            lam_star = math.sqrt(lo * hi)
-            break
+            last = cur.u - prev.u
+            slope = 0.0
+            if cur.log_ratio is not None and prev.log_ratio is not None:
+                slope = (cur.log_ratio - prev.log_ratio) / last
+            step = -cur.log_ratio / slope if slope < 0 else 2.0 * last
+            longest = _WALK_GROWTH * abs(last)
+        step = direction * min(max(abs(step), _WIDTH_RTOL), longest)
+        prev, cur = cur, evaluate(min(max(cur.u + step, u_lo), u_hi))
 
-    phi_star, _ = phi(lam_star)
-    if abs(phi_star - target) > spec.rel_tol * target:
+    # Close in on the straddling pair with Illinois steps: regula falsi
+    # that halves the retained end's value each time that end is kept.
+    if not converged(cur) and above(prev) != above(cur):
+        a, b = prev, cur
+        f_a = a.log_ratio
+        while len(samples) < _MAX_PHI_EVALS and abs(b.u - a.u) > _WIDTH_RTOL:
+            u = 0.5 * (a.u + b.u)
+            if f_a is not None and b.log_ratio is not None:
+                secant = b.u - b.log_ratio * (b.u - a.u) / (b.log_ratio - f_a)
+                if min(a.u, b.u) < secant < max(a.u, b.u):
+                    u = secant
+            c = evaluate(u)
+            if converged(c):
+                break
+            if above(c) == above(b):
+                f_a = None if f_a is None else 0.5 * f_a
+            else:
+                a, f_a = b, b.log_ratio
+            b = c
+
+    best = min(samples, key=lambda s: abs(s.phi - target))
+    if abs(best.phi - target) > spec.rel_tol * target:
         raise EvaluationNoiseError(
-            f"bisection residual {abs(phi_star - target)} exceeds "
+            f"root-finding residual {abs(best.phi - target)} exceeds "
             f"rel_tol * target = {spec.rel_tol * target}; evaluations may be too noisy"
         )
-    return lam_star
+    return best.lam, best.phi
 
 
 def initial_value_check(problem: SublevelProblem, lam_large: float, spec: QuadratureSpec) -> float:

@@ -14,6 +14,7 @@ the segment leaves the set (which nonconvex domains can force).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,12 @@ from . import rng
 _SAMPLE_BATCH = 4096
 _MAX_SAMPLE_BATCHES = 256
 
-_RTOL = 1e-9  # accept x* when |f(x*) - c| <= _RTOL * (1 + |c|)
+# Accept x* when |f(x*) - c| <= tol, with tol = _RTOL * |c|, floored at
+# _ULPS ulps of max |f| over the sampled members of K_y (the rounding level
+# of f there, below which no point can be told apart), and never looser
+# than _RTOL * (1 + |c|).
+_RTOL = 1e-9
+_ULPS = 4
 _MAX_PAIRS = 50  # segment attempts before ExtractionError
 _MAX_BISECT = 200  # bisection steps per segment
 
@@ -68,7 +74,9 @@ def mean_value_point(problem: SublevelProblem, y: float, spec: QuadratureSpec) -
     """Locate x* in K_y with f(x*) close to c = v(y) / vol(K_y).
 
     The output satisfies g(x*) <= y (re-verified) and
-    |f(x*) - c| <= 1e-9 * (1 + |c|).  Deterministic for a fixed
+    |f(x*) - c| <= max(1e-9 * |c|, 4 ulps of max |f| over the sampled
+    members of K_y), and never more than 1e-9 * (1 + |c|), so a small
+    target mean is met relatively.  Deterministic for a fixed
     ``spec.seed``.  Raises ExtractionError, carrying the best candidate
     seen, when 50 segment attempts are exhausted; K_y being
     disconnected is the typical cause.
@@ -82,7 +90,7 @@ def mean_value_point(problem: SublevelProblem, y: float, spec: QuadratureSpec) -
     if not volume > 0:
         raise ExtractionError(f"vol(K_y) estimate {volume} is not positive")
     c = v_y / volume
-    tol = _RTOL * (1.0 + abs(c))
+    f_scale = 0.0
 
     f_eval = problem.f
     g_eval = problem.g
@@ -120,6 +128,11 @@ def mean_value_point(problem: SublevelProblem, y: float, spec: QuadratureSpec) -
         members = pts[np.asarray(g_eval(pts), dtype=float) <= y]
         if members.size:
             f_vals = np.asarray(f_eval(members), dtype=float)
+            f_scale = max(f_scale, float(np.max(np.abs(f_vals))))
+            tol = min(
+                _RTOL * (1.0 + abs(c)),
+                max(_RTOL * abs(c), _ULPS * sys.float_info.epsilon * f_scale),
+            )
             hit = np.abs(f_vals - c) <= tol
             if hit.any():
                 idx = int(np.argmax(hit))

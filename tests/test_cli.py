@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import run_cli, write_problem
+from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, duality
 from lapdual.cli import main
 
 DISC = {
@@ -293,6 +294,28 @@ def test_find_lambda_disc(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["lambda"] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_find_lambda_integrates_only_inside_the_search(tmp_path, capsys, monkeypatch):
+    inner = duality.dual_integral
+    lams = []
+
+    def counting(problem, lam, spec):
+        lams.append(lam)
+        return inner(problem, lam, spec)
+
+    monkeypatch.setattr(duality, "dual_integral", counting)
+    monkeypatch.setattr(cli, "dual_integral", counting)
+    path = write_problem(tmp_path / "disc.json", DISC)
+    assert main(["find-lambda", "--input", path, "--target", str(2.7 * math.pi)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    in_cli = len(lams)
+    disc = SublevelProblem(2, MultiPoly.constant(2, 1.0), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
+    spec = QuadratureSpec(sample_count=200_000)
+    lams.clear()
+    assert duality.find_lambda_for_target(disc, 2.7 * math.pi, (1e-3, 1e3), spec) == doc["lambda"]
+    assert in_cli == len(lams)
+    assert doc["phi"] == inner(disc, doc["lambda"], spec).value
 
 
 def test_find_lambda_bracket_error_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lapdual import (
     BracketError,
     DualCertificate,
     EffortError,
+    EvaluationNoiseError,
     InputError,
     LapdualError,
     MultiPoly,
@@ -437,3 +439,91 @@ def test_certificate_validation():
         DualCertificate(1.0, 0.0, 1.0, "dual-gaussian", 0.0)
     with pytest.raises(InputError):
         DualCertificate(1.0, 1.0, 1.0, "dual-gaussian", -1.0)
+
+
+def _count_phi_evals(monkeypatch):
+    lams = []
+    inner = duality.dual_integral
+
+    def counting(problem, lam, spec):
+        lams.append(lam)
+        return inner(problem, lam, spec)
+
+    monkeypatch.setattr(duality, "dual_integral", counting)
+    return lams
+
+
+@pytest.mark.parametrize("target", [2.7 * math.pi, 0.02, 50.0])
+def test_find_lambda_disc_takes_at_most_four_integrals(disc_problem, target, monkeypatch):
+    # phi = pi / lam: log phi is linear in log lam, so the secant is exact.
+    lams = _count_phi_evals(monkeypatch)
+    lam = find_lambda_for_target(disc_problem, target, (1e-3, 1e3), SPEC)
+    assert lam == pytest.approx(math.pi / target, rel=1e-13)
+    assert len(lams) <= 4
+
+
+@pytest.mark.parametrize("target", [0.3, 2.0, 20.0])
+def test_find_lambda_polar_quartic_takes_at_most_four_integrals(target, monkeypatch):
+    g = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.9})
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), g)
+    assert dual_integral(problem, 1.0, SPEC).engine == "polar"
+    lams = _count_phi_evals(monkeypatch)
+    lam = find_lambda_for_target(problem, target, (1e-3, 1e3), SPEC)
+    assert len(lams) <= 4
+    assert abs(dual_integral(problem, lam, SPEC).value - target) <= SPEC.rel_tol * target
+
+
+def test_find_lambda_target_below_phi_hi(disc_problem):
+    phi_hi = dual_integral(disc_problem, 1e3, SPEC).value
+    with pytest.raises(BracketError):
+        find_lambda_for_target(disc_problem, 0.5 * phi_hi, (1e-3, 1e3), SPEC)
+
+
+@pytest.mark.parametrize("bracket", [(1e-3, 1e3), (0.5, 50.0), (1.5, 8.0)])
+@pytest.mark.parametrize("target", [0.1, 0.5, 0.7])
+def test_find_lambda_non_monotone_phi_never_returns_a_bad_root(disc_g, bracket, target):
+    # f = 1 - |x|^2 changes sign: phi = pi (lam - 1) / lam^2 rises from
+    # below 0 to pi/4 at lam = 2, then falls.
+    f = MultiPoly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+    problem = SublevelProblem(2, f, disc_g)
+    try:
+        lam = find_lambda_for_target(problem, target, bracket, SPEC)
+    except (EvaluationNoiseError, BracketError):
+        return
+    assert abs(math.pi * (lam - 1.0) / lam**2 - target) <= SPEC.rel_tol * target
+
+
+def test_find_lambda_non_homogeneous_g_skips_the_bracket_ends():
+    # The lam = 1e-3 end needs a box far beyond the effort cap; the
+    # search never goes there because the root lies near lam = 0.78.
+    g = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (4, 0): 1.0})
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), g)
+    spec = QuadratureSpec(nodes_per_axis=16, rel_tol=1e-6)
+    lam = find_lambda_for_target(problem, 3.0, (1e-3, 1e3), spec)
+    assert lam == pytest.approx(0.781491, rel=1e-5)
+    assert abs(dual_integral(problem, lam, spec).value - 3.0) <= spec.rel_tol * 3.0
+
+
+def test_gaussian_certificate_bounds_high_degree_error(interval_g):
+    # f = x^k, g = x^2, y = 1: v = 2 / (k + 1).  A fixed 1e-14 * |v| fell
+    # below the observed error from k = 60 on.
+    misses = []
+    for k in range(20, 401, 2):
+        problem = SublevelProblem(1, MultiPoly.monomial(1, (k,)), interval_g)
+        cert = v_dual_homogeneous(problem, 1.0, SPEC)
+        assert cert.method == "dual-gaussian"
+        if abs(cert.v_value - 2.0 / (k + 1)) > cert.error_estimate:
+            misses.append(k)
+    assert misses == []
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 0.99999])
+def test_gaussian_certificate_covers_ill_conditioned_q(r):
+    # K_1 = {x1^2 + 2 r x1 x2 + x2^2 <= 1} has area pi / sqrt(1 - r^2).
+    # 1 - r^2 is formed exactly from the binary r, so the reference is
+    # good to about an ulp, while the engine's det Q loses ~1 / (1 - r).
+    g = MultiPoly(2, {(2, 0): 1.0, (1, 1): 2.0 * r, (0, 2): 1.0})
+    cert = v_dual_homogeneous(SublevelProblem(2, MultiPoly.constant(2, 1.0), g), 1.0, SPEC)
+    assert cert.method == "dual-gaussian"
+    exact = math.pi / math.sqrt(float(1 - Fraction(r) ** 2))
+    assert abs(cert.v_value - exact) <= cert.error_estimate

@@ -88,3 +88,18 @@ def test_rejects_nonpositive_y(disc_g, one_2d):
     problem = SublevelProblem(2, one_2d, disc_g)
     with pytest.raises(InputError):
         mean_value_point(problem, 0.0, SPEC)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ({(400,): 1.0}, {(2,): 10.0}),  # c = 2.5e-203
+        ({(4,): 1e-10}, {(2,): 1.0}),  # c = 2.0e-11
+    ],
+    ids=["x400", "tiny-quartic"],
+)
+def test_small_target_mean_is_met_relatively(f, g):
+    problem = SublevelProblem(1, MultiPoly(1, f), MultiPoly(1, g))
+    result = mean_value_point(problem, 1.0, SPEC)
+    assert result.residual <= 1e-9 * abs(result.target_mean)
+    assert result.f_at_point == pytest.approx(result.target_mean, rel=1e-9)
