@@ -176,14 +176,15 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
         value, certs = _certificates(pf, spec, y)
         closed = {}
         if problem.f_degree is not None:
-            base = dual_integral(problem, 1.0, spec).value
-            closed["v_closed_form"] = v_closed = v_homogeneous_closed_form(problem, base, y)
+            base = dual_integral(problem, 1.0, spec)
+            closed["v_closed_form"] = v_closed = v_homogeneous_closed_form(problem, base.value, y)
             certs.append(DualCertificate(
                 y,
                 lambda_y_homogeneous(pf.dim, problem.f_degree, problem.g_degree, y),
                 v_closed,
                 METHOD_CLOSED_FORM,
-                abs(v_closed) * spec.rel_tol,
+                # v(y) is linear in the base integral, so its error scales alike.
+                v_homogeneous_closed_form(problem, base.error_estimate, y),
             ))
         doc.update(v_dual=value, certificates=[asdict(c) for c in certs], **closed)
         if pf.tau is not None:

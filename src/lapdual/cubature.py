@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -120,6 +120,12 @@ class IntegralEstimate:
     w * |integrand| over the final pass of the box, polar or
     Gaussian-weight engine (for the latter two, scaled like the value),
     the scale their error estimates use; Monte Carlo reports None.
+
+    ``error_estimate`` is the engine's own bound on the error of
+    ``value``: rel_tol * max(|value|, magnitude) for the box and polar
+    engines, a rounding bound for the Gaussian-weight rule (1e-14 * |value|
+    for an opaque f), the standard error for Monte Carlo, and None for one
+    box pass at a numeric ``box_radius``, which tests nothing.
     """
 
     value: float
@@ -128,6 +134,7 @@ class IntegralEstimate:
     effort: int
     box_radius_used: float | None = None
     magnitude: float | None = None
+    error_estimate: float | None = None
 
     def __post_init__(self):
         if (self.std_error is not None) != (self.engine == ENGINE_MONTE_CARLO):
@@ -255,6 +262,31 @@ def _tensor_apply(phi, axes):
     return math.fsum(partials), math.fsum(abs_partials), total_points
 
 
+def _doubling(run, schedule, cap, rel_tol, what, prev=None):
+    """Runs ``run(*step)`` -> (value, magnitude, evaluations) over the
+    (points, step) pairs of ``schedule``, dropping passes over ``cap``
+    points, until two successive values agree: |cur - prev| <= rel_tol *
+    max(|cur|, magnitude), magnitude being the later pass's sum of
+    w * |integrand|, so that a cancelling integral converges too.  ``prev``
+    seeds the comparison; a schedule that cannot yield two values runs no pass.
+    Returns (value, magnitude, evaluations, step) of the agreeing pass,
+    the evaluations summed over all passes; else EffortError.
+    """
+    steps = [step for points, step in schedule if points <= cap]
+    effort = 0
+    for step in steps if len(steps) + (prev is not None) >= 2 else ():
+        cur, magnitude, used = run(*step)
+        effort += used
+        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), magnitude, 1e-300):
+            return cur, magnitude, effort, step
+        prev = cur
+    ran = f"{effort} evaluations, last estimate {prev}" if effort else "none run"
+    raise EffortError(
+        f"{what}: no two of the {len(steps)} passes that fit under the cap of {cap} points "
+        f"agreed to rel_tol={rel_tol} ({ran})"
+    )
+
+
 def _box_estimate(phi, dim, radius, nodes_per_axis):
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
     return _tensor_apply(phi, [(radius * base_nodes, radius * base_weights)] * dim)
@@ -279,7 +311,9 @@ def integrate_box(
     that vanishes by cancellation converges too), so the enlargement
     comparison measures tail truncation rather than resolution loss.
     The radius that satisfied the test is reported in
-    ``box_radius_used``.
+    ``box_radius_used``.  Refinement takes at most 6 doublings and
+    enlargement 8, none past MAX_TENSOR_POINTS; EffortError comes
+    before any evaluation when the first two passes cannot both run.
 
     Parameters
     ----------
@@ -304,76 +338,44 @@ def integrate_box(
     radius = float(initial_radius) if initial_radius is not None else 1.0
     if not radius > 0:
         raise InputError(f"initial_radius must be positive, got {initial_radius!r}")
+    box_pass = partial(_box_estimate, phi, dim)
     n = spec.nodes_per_axis
-    prev, _, effort = _box_estimate(phi, dim, radius, n)
-    for attempt in range(_MAX_REFINEMENTS):
-        cur, magnitude, used = _box_estimate(phi, dim, radius, 2 * n)
-        effort += used
-        n = 2 * n
-        converged = abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300)
-        prev = cur
-        if converged:
-            break
-        if attempt == _MAX_REFINEMENTS - 1:
-            raise EffortError(
-                f"rule did not converge to rel_tol={spec.rel_tol} at radius {radius} "
-                f"within {n} nodes per axis; the integrand may be too rough"
-            )
-    for _ in range(_MAX_ENLARGEMENTS):
-        radius, n = 2.0 * radius, 2 * n
-        if n**dim > MAX_TENSOR_POINTS:
-            raise EffortError(
-                f"box enlargement to radius {radius} needs {n}^{dim} nodes, over the cap "
-                f"of {MAX_TENSOR_POINTS}; estimates did not stabilize (the integral may "
-                "diverge or the integrand is too rough for the requested rel_tol)"
-            )
-        cur, magnitude, used = _box_estimate(phi, dim, radius, n)
-        effort += used
-        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300):
-            return IntegralEstimate(cur, None, ENGINE_BOX, effort, radius, magnitude)
-        prev = cur
-    raise EffortError(
-        "box enlargement did not stabilize; the integral may diverge "
-        f"(last radius {radius}, last estimate {prev})"
+    refine = [((n << i) ** dim, (radius, n << i)) for i in range(_MAX_REFINEMENTS + 1)]
+    value, _, effort, (radius, n) = _doubling(
+        box_pass, refine, MAX_TENSOR_POINTS, spec.rel_tol,
+        f"the box rule at radius {radius} (the integrand may be too rough)",
+    )
+    enlarge = [
+        ((n << i) ** dim, (radius * 2.0**i, n << i)) for i in range(1, _MAX_ENLARGEMENTS + 1)
+    ]
+    value, magnitude, used, (radius, _) = _doubling(
+        box_pass, enlarge, MAX_TENSOR_POINTS, spec.rel_tol,
+        f"box enlargement from radius {radius} (the integral may diverge)", value,
+    )
+    return IntegralEstimate(
+        value, None, ENGINE_BOX, effort + used, radius, magnitude,
+        spec.rel_tol * max(abs(value), magnitude),
     )
 
 
-def _sphere_rule(dim: int, n: int):
-    """Per-angle rules of a pass with n nodes per angle, and the map from
-    their parameter points to points of the unit sphere S^(dim-1), dim 2 or 3."""
+def _sphere_sum(h, dim: int, n: int):
+    """_tensor_apply of h over the sphere rule with n nodes per angle on
+    the unit sphere S^(dim-1), dim 2 or 3."""
     m = n if dim == 2 else 2 * n
     azimuth = (2.0 * math.pi * np.arange(m) / m, np.full(m, 2.0 * math.pi / m))
     if dim == 2:
-        return [azimuth], lambda params: np.column_stack(
-            (np.cos(params[:, 0]), np.sin(params[:, 0]))
+        return _tensor_apply(
+            lambda params: h(np.column_stack((np.cos(params[:, 0]), np.sin(params[:, 0])))),
+            [azimuth],
         )
 
-    def to_sphere(params):
+    def on_sphere(params):
         # d sigma = dt d phi with t = cos(theta).
         t, azi = params[:, 0], params[:, 1]
         s = np.sqrt(1.0 - t * t)
-        return np.column_stack((s * np.cos(azi), s * np.sin(azi), t))
+        return h(np.column_stack((s * np.cos(azi), s * np.sin(azi), t)))
 
-    return [gauss_legendre_rule(n), azimuth], to_sphere
-
-
-def _converged_sphere_sum(h, dim, spec):
-    """Sums of w * h and of w * |h| over the sphere rule, with nodes per
-    angle doubling from ``spec.nodes_per_axis`` until two passes agree."""
-    n, prev, effort = spec.nodes_per_axis, None, 0
-    for _ in range(_MAX_REFINEMENTS + 1):
-        if n * (2 * n if dim == 3 else 1) > _MAX_SPHERE_POINTS:
-            break
-        axes, to_sphere = _sphere_rule(dim, n)
-        cur, magnitude, used = _tensor_apply(lambda params: h(to_sphere(params)), axes)
-        effort += used
-        if prev is not None and abs(cur - prev) <= spec.rel_tol * max(abs(cur), magnitude, 1e-300):
-            return cur, magnitude, effort
-        prev, n = cur, 2 * n
-    raise EffortError(
-        f"sphere rule did not converge to rel_tol={spec.rel_tol} below {n} nodes per angle; "
-        "g may vanish or nearly vanish on a ray"
-    )
+    return _tensor_apply(on_sphere, [gauss_legendre_rule(n), azimuth])
 
 
 def _times_exp(s: float, log_scale: float) -> float:
@@ -453,11 +455,17 @@ def integrate_polar(
         # the poles, and cos(pi/2) != 0 in floating point), yet that is
         # where a degenerate g such as x1^2 most often vanishes.
         h(np.vstack((np.eye(dim), -np.eye(dim))))
-        value, magnitude, effort = _converged_sphere_sum(h, dim, spec)
+        nodes = [spec.nodes_per_axis << i for i in range(_MAX_REFINEMENTS + 1)]
+        schedule = [(n * (2 * n if dim == 3 else 1), (n,)) for n in nodes]
+        value, magnitude, effort, _ = _doubling(
+            partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
+            "the sphere rule (g may vanish or nearly vanish on a ray)",
+        )
     log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
+    value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)
     return IntegralEstimate(
-        _times_exp(value, log_scale), None, ENGINE_POLAR, effort, None,
-        _times_exp(magnitude, log_scale),
+        value, None, ENGINE_POLAR, effort, None, magnitude,
+        spec.rel_tol * max(abs(value), magnitude),
     )
 
 
@@ -542,7 +550,20 @@ def integrate_gaussian_quadratic(
             raise EvaluationError(
                 "the Gaussian-weight integral overflows double precision"
             ) from None
-    return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, magnitude=magnitude)
+    if isinstance(f, MultiPoly):
+        # Exact for a polynomial f, so only rounding is left: about dim + 3
+        # roundings per node coordinate (Cholesky transform, lam), which
+        # deg f + dim multiplies, times the condition number of Q's
+        # correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the
+        # Cholesky factor and det Q.  max(|v|, magnitude) keeps a component
+        # that cancels to ~0 honest.
+        diag = np.sqrt(np.diag(Q))
+        kappa = float(np.linalg.cond(Q / np.outer(diag, diag)))
+        rounding = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
+        error = max(abs(value), magnitude) * rounding
+    else:
+        error = abs(value) * 1e-14
+    return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, None, magnitude, error)
 
 
 def monte_carlo_sublevel(
@@ -604,7 +625,9 @@ def monte_carlo_sublevel(
     else:
         variance = 0.0
     std_error = box_volume * math.sqrt(variance / n_samples)
-    return IntegralEstimate(value, std_error, ENGINE_MONTE_CARLO, n_samples, radius)
+    return IntegralEstimate(
+        value, std_error, ENGINE_MONTE_CARLO, n_samples, radius, None, std_error
+    )
 
 
 def sphere_minimum(g, dim: int) -> float:

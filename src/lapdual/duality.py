@@ -43,7 +43,6 @@ import numpy as np
 from .cubature import (
     ENGINE_BOX,
     ENGINE_GAUSSIAN,
-    ENGINE_MONTE_CARLO,
     IntegralEstimate,
     QuadratureSpec,
     gauss_legendre_rule,
@@ -210,34 +209,6 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
-def _error_estimate(est: IntegralEstimate, spec: QuadratureSpec, problem: SublevelProblem) -> float:
-    """Per-engine error proxy attached to certificates.
-
-    The box and polar engines report their convergence tolerance on the
-    scale they tested.  The Gaussian-weight rule is exact for a MultiPoly
-    f, so only rounding is left: each node coordinate carries about
-    dim + 1 roundings from the Cholesky transform, lambda a few more, and
-    a degree-k monomial multiplies their relative error by k.  The
-    Cholesky factor and det Q lose a further factor of the condition
-    number of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q)
-    (1 for a diagonal Q).  That bound is applied to
-    max(|v|, sum of w * |f|), so a component that cancels to ~0 keeps an
-    honest error.  An opaque f keeps a fixed 1e-14 * |v|.
-    """
-    if est.engine == ENGINE_MONTE_CARLO:
-        return est.std_error
-    if est.engine == ENGINE_GAUSSIAN:
-        if not isinstance(problem.f, MultiPoly):
-            return abs(est.value) * 1e-14
-        Q = _quadratic_form_matrix(problem.g)
-        scale = np.sqrt(np.diag(Q))
-        kappa = float(np.linalg.cond(Q / np.outer(scale, scale)))
-        dim = problem.dim
-        rounding = (problem.f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
-        return max(abs(est.value), est.magnitude) * rounding
-    return max(abs(est.value), est.magnitude) * spec.rel_tol
-
-
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
@@ -256,7 +227,8 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
 
     ``spec.box_radius`` is ignored: the box is always chosen and
     verified here.  g is checked for nonnegativity at every point the
-    polar and box engines touch.
+    polar and box engines touch.  The result's ``error_estimate`` is the
+    chosen engine's own; certificates and the root search read it.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
@@ -319,7 +291,7 @@ def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec)
     lam = lambda_y_homogeneous(problem.dim, problem.f_degree, problem.g_degree, y)
     est = dual_integral(problem, lam, spec)
     method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
-    return DualCertificate(y, lam, est.value, method, _error_estimate(est, spec, problem))
+    return DualCertificate(y, lam, est.value, method, est.error_estimate)
 
 
 def v_polynomial(
@@ -414,7 +386,7 @@ def _find_lambda(
     def evaluate(u):
         lam = lo if u <= u_lo else hi if u >= u_hi else math.exp(u)
         est = dual_integral(problem, lam, spec)
-        phi, err = est.value, _error_estimate(est, spec, problem)
+        phi, err = est.value, est.error_estimate
         for s in samples:
             floor = 4.0 * max(err, s.err, 1e-300)
             if (lam > s.lam and phi > s.phi + floor) or (lam < s.lam and phi < s.phi - floor):

@@ -92,6 +92,8 @@ class MultiPoly:
             return -1
         return sum(self.terms[-1][0])
 
+    # Overflow yields inf or nan, which the engines report as EvaluationError.
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, x):
         """Evaluate at a point of shape (dim,) or at rows of an (N, dim) array."""
         pts = np.asarray(x, dtype=float)

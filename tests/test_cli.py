@@ -459,3 +459,25 @@ def test_output_shape(case, output, tmp_path, capsys):
         assert lines[0] == csv_header
         assert lines[-1] == "" and len(lines) > 2
         assert all(line.count(",") == csv_header.count(",") for line in lines[1:-1])
+
+
+def test_closed_form_certificate_bounds_a_cancelling_component(tmp_path):
+    # x1 * x2 integrates to 0 over the symmetric quartic star, so the
+    # closed form is rounding noise; its error must be on the scale of the
+    # base integral's error, not of |v| * rel_tol.
+    quartic = {
+        "dim": 2,
+        "terms": [
+            {"coef": 1.0, "exps": [4, 0]},
+            {"coef": 1.0, "exps": [0, 4]},
+            {"coef": -1.925, "exps": [2, 2]},
+        ],
+    }
+    doc = dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [1, 1]}]}, g=quartic,
+               quadrature={"sample_count": 2000})
+    proc = run_cli("integrate", "--input", write_problem(tmp_path / "xy.json", doc))
+    assert proc.returncode == 0
+    certs = json.loads(proc.stdout)["certificates"]
+    closed = [c for c in certs if c["method"] == "closed-form-homogeneous"]
+    assert len(closed) == 1
+    assert closed[0]["error_estimate"] >= abs(closed[0]["v_value"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,3 +444,50 @@ def test_polar_input_errors():
         integrate_polar(f2, g2, 2, 0, 4, -1.0, QuadratureSpec())
     with pytest.raises(InputError):
         integrate_polar(f2, g2, 2, 0, 0, 1.0, QuadratureSpec())
+
+
+def _counting(h, counts):
+    def counted(p):
+        counts.append(p.shape[0])
+        return h(p)
+
+    return counted
+
+
+def test_integrate_box_refinement_exhausted():
+    # |x| has a kink at 0, so Gauss-Legendre converges only algebraically:
+    # six doublings from 4 nodes (passes of 4 ... 256 nodes) miss rel_tol.
+    counts = []
+    with pytest.raises(EffortError):
+        integrate_box(_counting(lambda p: np.abs(p[:, 0]), counts), 1, QuadratureSpec(nodes_per_axis=4))
+    assert sum(counts) == sum(4 << i for i in range(7))
+
+
+def test_integrate_box_enlargement_over_the_cap():
+    # The volume of [-r, r]^3 grows with every enlargement.  The rule
+    # converges at 16 nodes; the 256^3 enlargement is the last under the
+    # cap, and the 512^3 one is refused without running.
+    counts = []
+    with pytest.raises(EffortError):
+        integrate_box(_counting(lambda p: np.ones(p.shape[0]), counts), 3, QuadratureSpec(nodes_per_axis=8))
+    assert sum(counts) == sum((8 << i) ** 3 for i in range(6))
+
+
+def test_polar_sphere_cap_three_dim():
+    # g vanishes on the ray x1 = 1.1 x2, x3 = 0, which no node hits, so the
+    # passes never agree.  The 1024-node pass (2^21 points) is the last
+    # under the sphere cap; the 6 extra points are the axis probe.
+    g = MultiPoly(3, {(2, 0, 0): 1.0, (1, 1, 0): -2.2, (0, 2, 0): 1.21, (0, 0, 2): 1.0})
+    counts = []
+    with pytest.raises(EffortError):
+        integrate_polar(MultiPoly.constant(3, 1.0), _counting(g, counts), 3, 0, 2, 1.0, QuadratureSpec())
+    assert sum(counts) == 6 + sum((64 << i) * (128 << i) for i in range(5))
+
+
+def test_multipoly_overflow_is_an_evaluation_error():
+    # 10^400 overflows a double inside MultiPoly's evaluation; the engine's
+    # finiteness check must report it, with no numpy warning escaping.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationError):
+            integrate_box(MultiPoly.monomial(1, (400,)), 1, QuadratureSpec(box_radius=10.0))

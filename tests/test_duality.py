@@ -527,3 +527,27 @@ def test_gaussian_certificate_covers_ill_conditioned_q(r):
     assert cert.method == "dual-gaussian"
     exact = math.pi / math.sqrt(float(1 - Fraction(r) ** 2))
     assert abs(cert.v_value - exact) <= cert.error_estimate
+
+
+def test_gaussian_certificate_for_opaque_f(disc_g):
+    # An opaque f carries no degree to bound the rule's rounding with.
+    problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), disc_g, f_degree=0)
+    cert = v_dual_homogeneous(problem, 2.0, SPEC)
+    assert cert.method == "dual-gaussian"
+    assert cert.v_value == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert cert.error_estimate == abs(cert.v_value) * 1e-14
+
+
+def test_box_refuses_a_schedule_without_two_passes_up_front():
+    # At 64 nodes per axis in d = 4 only the first pass (64^4 = 2^24
+    # points) fits under the cap, so no two passes can ever agree.
+    calls = []
+
+    def f(p):
+        calls.append(p.shape[0])
+        return np.ones(p.shape[0])
+
+    g = MultiPoly(4, {(4, 0, 0, 0): 1.0, (0, 4, 0, 0): 1.5, (0, 0, 4, 0): 2.0, (0, 0, 0, 4): 2.5})
+    with pytest.raises(EffortError):
+        dual_integral(SublevelProblem(4, f, g, f_degree=0), 1.0, SPEC)
+    assert calls == []
