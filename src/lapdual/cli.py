@@ -172,7 +172,7 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
     problem = SublevelProblem(pf.dim, pf.f, pf.g)
     doc = {"mode": "poly", "y": y}
     certs = []
-    if problem.g_degree not in (None, 0):
+    if problem.g_degree is not None:
         value, certs = _certificates(pf, spec, y)
         closed = {}
         if problem.f_degree is not None:
@@ -215,7 +215,7 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
             raise InputError("sweep in simplex mode supports a single alpha term")
     else:
         problem = SublevelProblem(pf.dim, pf.f, pf.g)
-        if problem.f_degree is None or problem.g_degree in (None, 0):
+        if problem.f_degree is None or problem.g_degree is None:
             raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
     rows = []
     for y in pf.y_values:
@@ -249,7 +249,7 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
 
     else:
         problem = SublevelProblem(pf.dim, pf.f, pf.g)
-        if problem.f_degree is None or problem.g_degree in (None, 0):
+        if problem.f_degree is None or problem.g_degree is None:
             raise InputError(
                 "laplace-check needs a closed-form v: homogeneous f and g, or simplex mode"
             )

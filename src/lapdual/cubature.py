@@ -3,10 +3,13 @@
 Four engines cover every integral the package evaluates:
 
 - tensor-product Gauss-Legendre over a box [-r, r]^d, with optional
-  automatic box enlargement for integrands that decay at infinity;
+  automatic box enlargement for integrands that decay at infinity (the
+  dual of data without homogeneity degrees, d >= 4, and the direct
+  box-indicator estimate);
 - a sphere rule for integrals against exp(-lam * g) with f and g
-  positively homogeneous in d <= 3: homogeneity reduces the whole-space
-  integral to one over the unit sphere, so no box is needed;
+  positively homogeneous in d <= 3, polynomials or opaque evaluators
+  whose degrees the caller supplies: homogeneity reduces the
+  whole-space integral to one over the unit sphere, so no box is needed;
 - a Gaussian-weight rule for integrals against exp(-lam * x'Qx) with Q
   symmetric positive definite (tensor Gauss-Hermite after a linear
   change of variables);
@@ -262,7 +265,7 @@ def _tensor_apply(phi, axes):
     return math.fsum(partials), math.fsum(abs_partials), total_points
 
 
-def _doubling(run, schedule, cap, rel_tol, what, prev=None):
+def _doubling(run, schedule, cap, rel_tol, what, hint, prev=None):
     """Runs ``run(*step)`` -> (value, magnitude, evaluations) over the
     (points, step) pairs of ``schedule``, dropping passes over ``cap``
     points, until two successive values agree: |cur - prev| <= rel_tol *
@@ -270,20 +273,25 @@ def _doubling(run, schedule, cap, rel_tol, what, prev=None):
     w * |integrand|, so that a cancelling integral converges too.  ``prev``
     seeds the comparison; a schedule that cannot yield two values runs no pass.
     Returns (value, magnitude, evaluations, step) of the agreeing pass,
-    the evaluations summed over all passes; else EffortError.
+    the evaluations summed over all passes; else EffortError naming
+    ``what``, plus ``hint`` when passes ran and disagreed.
     """
     steps = [step for points, step in schedule if points <= cap]
+    if len(steps) + (prev is not None) < 2:
+        raise EffortError(
+            f"{what}: only {len(steps)} of its passes fit under the cap of {cap} points, "
+            "too few for two to agree; none run"
+        )
     effort = 0
-    for step in steps if len(steps) + (prev is not None) >= 2 else ():
+    for step in steps:
         cur, magnitude, used = run(*step)
         effort += used
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), magnitude, 1e-300):
             return cur, magnitude, effort, step
         prev = cur
-    ran = f"{effort} evaluations, last estimate {prev}" if effort else "none run"
     raise EffortError(
-        f"{what}: no two of the {len(steps)} passes that fit under the cap of {cap} points "
-        f"agreed to rel_tol={rel_tol} ({ran})"
+        f"{what} ({hint}): no two of the {len(steps)} passes that fit under the cap of "
+        f"{cap} points agreed to rel_tol={rel_tol} ({effort} evaluations, last estimate {prev})"
     )
 
 
@@ -312,8 +320,9 @@ def integrate_box(
     comparison measures tail truncation rather than resolution loss.
     The radius that satisfied the test is reported in
     ``box_radius_used``.  Refinement takes at most 6 doublings and
-    enlargement 8, none past MAX_TENSOR_POINTS; EffortError comes
-    before any evaluation when the first two passes cannot both run.
+    enlargement 8, none past MAX_TENSOR_POINTS, and refinement runs
+    only resolutions whose first enlargement fits under that cap too;
+    EffortError comes before any evaluation when fewer than two remain.
 
     Parameters
     ----------
@@ -340,17 +349,23 @@ def integrate_box(
         raise InputError(f"initial_radius must be positive, got {initial_radius!r}")
     box_pass = partial(_box_estimate, phi, dim)
     n = spec.nodes_per_axis
-    refine = [((n << i) ** dim, (radius, n << i)) for i in range(_MAX_REFINEMENTS + 1)]
+    # A resolution whose first enlargement, at twice the nodes, exceeds the
+    # cap could never be confirmed, so it is not run.
+    refine = [
+        ((n << i) ** dim, (radius, n << i))
+        for i in range(_MAX_REFINEMENTS + 1)
+        if (n << (i + 1)) ** dim <= MAX_TENSOR_POINTS
+    ]
     value, _, effort, (radius, n) = _doubling(
         box_pass, refine, MAX_TENSOR_POINTS, spec.rel_tol,
-        f"the box rule at radius {radius} (the integrand may be too rough)",
+        f"the box rule at radius {radius}", "the integrand may be too rough",
     )
     enlarge = [
         ((n << i) ** dim, (radius * 2.0**i, n << i)) for i in range(1, _MAX_ENLARGEMENTS + 1)
     ]
     value, magnitude, used, (radius, _) = _doubling(
         box_pass, enlarge, MAX_TENSOR_POINTS, spec.rel_tol,
-        f"box enlargement from radius {radius} (the integral may diverge)", value,
+        f"box enlargement from radius {radius}", "the integral may diverge", value,
     )
     return IntegralEstimate(
         value, None, ENGINE_BOX, effort + used, radius, magnitude,
@@ -459,7 +474,7 @@ def integrate_polar(
         schedule = [(n * (2 * n if dim == 3 else 1), (n,)) for n in nodes]
         value, magnitude, effort, _ = _doubling(
             partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
-            "the sphere rule (g may vanish or nearly vanish on a ray)",
+            "the sphere rule", "g may vanish or nearly vanish on a ray",
         )
     log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
     value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)

@@ -19,8 +19,9 @@ integral into one over the unit sphere,
 
     integral of f * exp(-lam * g) = Gamma(p) / (d_g * lam^p) * integral of f * g^(-p) dsigma,
 
-so homogeneous polynomial data in d <= 3 is integrated there, with no
-box, tail or enlargement loop (``dual_integral`` dispatches).
+so positively homogeneous data in d <= 3, polynomial or opaque with
+stated degrees, is integrated there, with no box, tail or enlargement
+loop (``dual_integral`` dispatches on the degrees SublevelProblem holds).
 
 For a general polynomial f (no sign restriction) the homogeneous
 components f_k are dualized one at a time with their own lambda_{y,k}.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +65,9 @@ METHOD_ROOT_FOUND = "root-found"
 # Nonnegativity tolerance for opportunistic checks of g at touched points.
 _G_NONNEG_TOL = 1e-12
 
+# Relative tolerance of the axis-probe check of a stated degree.
+_DEGREE_RTOL = 1e-12
+
 # exp(-40) ~ 4e-18 sits below double resolution of any bulk integral, so a
 # box whose boundary weight exponent reaches 40 loses no measurable mass.
 _TAIL_EXPONENT = 40.0
@@ -86,10 +91,17 @@ class SublevelProblem:
     """A problem instance: integrate f over {x : g(x) <= y}.
 
     f and g may be MultiPoly or opaque vectorized evaluators,
-    (N, dim) -> (N,).  Homogeneity degrees are filled in automatically
-    for polynomial data and must match when supplied redundantly.
-    g is assumed nonnegative with compact sublevel sets and is checked
-    opportunistically at the points the engines touch.
+    (N, dim) -> (N,).  ``f_degree`` and ``g_degree`` are the positive
+    homogeneity degrees every consumer reads, None when there is none.
+    For a MultiPoly the degree is counted from its terms; a stated
+    degree that differs, or any stated degree on a non-homogeneous
+    polynomial, raises InputError.  For an opaque evaluator the stated
+    degree is taken as given here, and ``dual_integral`` checks it on
+    the axes before it selects the sphere.  A stated degree must be a
+    finite real number with f_degree >= 0 and g_degree >= 1; a constant
+    g has no degree (None, never 0).  g is assumed nonnegative with
+    compact sublevel sets and is checked opportunistically at the points
+    the engines touch.
     """
 
     dim: int
@@ -101,21 +113,29 @@ class SublevelProblem:
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
-        for name, h in (("f", self.f), ("g", self.g)):
-            if isinstance(h, MultiPoly):
-                if h.dim != self.dim:
-                    raise InputError(f"{name} has dim {h.dim}, problem has dim {self.dim}")
-            elif not callable(h):
-                raise InputError(f"{name} must be a MultiPoly or a callable evaluator")
-        for name, h, stated in (("f", self.f, self.f_degree), ("g", self.g, self.g_degree)):
-            if isinstance(h, MultiPoly):
-                found = h.homogeneity_degree()
-                if stated is None:
-                    object.__setattr__(self, f"{name}_degree", found)
-                elif found is not None and stated != found:
-                    raise InputError(
-                        f"stated {name}_degree {stated} contradicts the polynomial's degree {found}"
-                    )
+        for name, h, stated, least in (
+            ("f", self.f, self.f_degree, 0), ("g", self.g, self.g_degree, 1)
+        ):
+            if stated is not None and not (
+                isinstance(stated, Real) and not isinstance(stated, bool)
+                and least <= stated <= sys.float_info.max
+            ):
+                raise InputError(
+                    f"{name}_degree must be a finite real number >= {least}, got {stated!r}"
+                )
+            if not isinstance(h, MultiPoly):
+                if not callable(h):
+                    raise InputError(f"{name} must be a MultiPoly or a callable evaluator")
+                continue
+            if h.dim != self.dim:
+                raise InputError(f"{name} has dim {h.dim}, problem has dim {self.dim}")
+            found = h.homogeneity_degree()
+            if stated is not None and stated != found:
+                fact = "is not homogeneous" if found is None else f"has degree {found}"
+                raise InputError(f"stated {name}_degree {stated} contradicts {name}, which {fact}")
+            if name == "g" and found == 0:
+                found = None  # a constant g has no sublevel structure to scale
+            object.__setattr__(self, f"{name}_degree", found)
 
 
 @dataclass(frozen=True)
@@ -209,6 +229,26 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
+def _check_stated_degrees(problem: SublevelProblem) -> None:
+    """InputError unless each opaque evaluator scales by 2^degree from the
+    axis probes +-e_j to 2 * (+-e_j), to 1e-12 relative.  A MultiPoly's
+    degree is counted from its terms, and a non-finite value is left to
+    the engines."""
+    probes = np.vstack((np.eye(problem.dim), -np.eye(problem.dim)))
+    for name, h, degree in (("f", problem.f, problem.f_degree), ("g", problem.g, problem.g_degree)):
+        if isinstance(h, MultiPoly):
+            continue
+        found = np.asarray(h(2.0 * probes), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.float64(2.0) ** degree * np.asarray(h(probes), dtype=float)
+            off = np.abs(found - expected) > _DEGREE_RTOL * np.maximum(np.abs(found), np.abs(expected))
+        if np.any(off & np.isfinite(found) & np.isfinite(expected)):
+            raise InputError(
+                f"{name} does not scale with its stated degree {degree}: doubling the axis "
+                f"points gives {found.tolist()}, not {expected.tolist()}"
+            )
+
+
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
@@ -216,13 +256,14 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     in this order:
 
     1. g a positive-definite quadratic form: the Gaussian-weight rule.
-    2. f and g both MultiPoly and homogeneous (counted from their terms,
-       so a fact rather than a claim), g of degree >= 1, dim <= 3: the
-       polar engine, one integral over the unit sphere.
-    3. Anything else (opaque callables with stated degrees,
-       non-homogeneous f or g, dim >= 4): box Gauss-Legendre with an
-       automatic radius; the initial radius puts the weight's boundary
-       exponent at 40 when g is homogeneous with a positive sphere
+    2. ``problem.f_degree`` and ``problem.g_degree`` both known and
+       dim <= 3, whatever the representation of f and g: the polar
+       engine, one integral over the unit sphere.  A stated degree of an
+       opaque evaluator is first checked on the axis probes (InputError
+       when f or g does not scale with it).
+    3. Anything else (f or g of no degree, dim >= 4): box Gauss-Legendre
+       with an automatic radius; the initial radius puts the weight's
+       boundary exponent at 40 when g has a degree and a positive sphere
        minimum.
 
     ``spec.box_radius`` is ignored: the box is always chosen and
@@ -238,11 +279,10 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
         if Q is not None:
             gaussian_spec = replace(spec, engine=ENGINE_GAUSSIAN)
             return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
-        if isinstance(problem.f, MultiPoly) and problem.dim <= 3:
-            k = problem.f.homogeneity_degree()
-            d_g = problem.g.homogeneity_degree()
-            if k is not None and d_g not in (None, 0):
-                return integrate_polar(problem.f, g_eval, problem.dim, k, d_g, lam, spec)
+    k, d_g = problem.f_degree, problem.g_degree
+    if k is not None and d_g is not None and problem.dim <= 3:
+        _check_stated_degrees(problem)
+        return integrate_polar(problem.f, g_eval, problem.dim, k, d_g, lam, spec)
 
     f_eval = problem.f
 
@@ -251,12 +291,12 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
         return np.asarray(f_eval(pts), dtype=float) * np.exp(-lam * g_vals)
 
     initial_radius = 1.0
-    if problem.g_degree not in (None, 0):
-        # Homogeneity (stated or detected) gives a principled starting box:
-        # the weight's exponent reaches 40 at the boundary.
+    if d_g is not None:
+        # Homogeneity gives a principled starting box: the weight's
+        # exponent reaches 40 at the boundary.
         m_hat = sphere_minimum(problem.g, problem.dim)
         if m_hat > 0:
-            initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / problem.g_degree)
+            initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
     box_spec = replace(spec, engine=ENGINE_BOX, box_radius="auto")
     return integrate_box(phi, problem.dim, box_spec, initial_radius=initial_radius)
 
@@ -306,7 +346,7 @@ def v_polynomial(
     """
     if not isinstance(problem.f, MultiPoly):
         raise InputError("v_polynomial requires a polynomial f")
-    if problem.g_degree is None or problem.g_degree < 1:
+    if problem.g_degree is None:
         raise InputError("v_polynomial requires g positively homogeneous of degree >= 1")
     certificates = []
     total = 0.0

@@ -61,11 +61,12 @@ class MeanValueResult:
 
 def _pipeline_value(problem: SublevelProblem, y, spec, radius):
     """v(y) through the preferred dual pipeline, Monte Carlo as fallback."""
-    if isinstance(problem.f, MultiPoly) and problem.g_degree not in (None, 0):
-        value, _ = v_polynomial(problem, y, spec)
-        return value
-    if problem.f_degree is not None and problem.g_degree not in (None, 0):
-        return v_dual_homogeneous(problem, y, spec).v_value
+    if problem.g_degree is not None:
+        if isinstance(problem.f, MultiPoly):
+            value, _ = v_polynomial(problem, y, spec)
+            return value
+        if problem.f_degree is not None:
+            return v_dual_homogeneous(problem, y, spec).v_value
     mc_spec = replace(spec, engine=ENGINE_MONTE_CARLO)
     return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, mc_spec).value
 

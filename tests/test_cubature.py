@@ -473,6 +473,18 @@ def test_integrate_box_enlargement_over_the_cap():
     assert sum(counts) == sum((8 << i) ** 3 for i in range(6))
 
 
+def test_integrate_box_refuses_an_unconfirmable_refinement_up_front():
+    # At 128 nodes in d = 3 the first enlargement after the 256^3
+    # refinement would need 512^3 points, over the cap, so only the
+    # 128-node pass is confirmable: nothing runs.
+    counts = []
+    gauss = _counting(lambda p: np.exp(-np.sum(p * p, axis=1)), counts)
+    with pytest.raises(EffortError) as err:
+        integrate_box(gauss, 3, QuadratureSpec(nodes_per_axis=128), initial_radius=6.0)
+    assert counts == []
+    assert "diverge" not in str(err.value)
+
+
 def test_polar_sphere_cap_three_dim():
     # g vanishes on the ray x1 = 1.1 x2, x3 = 0, which no node hits, so the
     # passes never agree.  The 1024-node pass (2^21 points) is the last

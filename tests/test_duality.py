@@ -173,7 +173,7 @@ def test_dual_identity_against_analytic_oracles(disc_g, interval_g):
 
 def test_v_dual_opaque_nonpolynomial_gauge():
     # g = |x|^3 is positively homogeneous of degree 3 but no polynomial;
-    # stated metadata routes the box engine to a principled radius.
+    # the stated degrees, checked on the axes, route it to the sphere.
     # Oracle: K_y is the ball of radius y^(1/3), so v(y) = pi * y^(2/3).
     g_cubed = lambda p: (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
     f_one = lambda p: np.ones(p.shape[0])
@@ -213,18 +213,57 @@ def test_v_polynomial_vanishing_box_component_converges(quartic_g):
 
 
 def test_dual_box_path_ignores_numeric_box_radius(quartic_g):
-    # An opaque f keeps the quartic on the box engine.  box_radius 3.0
-    # encloses K_1, but the dual still chooses and verifies its own box.
+    # An opaque f with no degree keeps the quartic on the box engine.
+    # box_radius 3.0 encloses K_1, but the dual still chooses and verifies
+    # its own box.  Stating f's degree moves the same data to the sphere.
     f_one = lambda p: np.ones(p.shape[0])
-    opaque = SublevelProblem(2, f_one, quartic_g, f_degree=0)
+    opaque = SublevelProblem(2, f_one, quartic_g)
     lam = lambda_y_homogeneous(2, 0, 4, 1.0)
     auto = dual_integral(opaque, lam, SPEC)
     numeric = dual_integral(opaque, lam, QuadratureSpec(box_radius=3.0))
     assert auto.engine == numeric.engine == "box-gauss-legendre"
     assert numeric.value == auto.value
+    stated = dual_integral(SublevelProblem(2, f_one, quartic_g, f_degree=0), lam, SPEC)
     polar = dual_integral(SublevelProblem(2, MultiPoly.constant(2, 1.0), quartic_g), lam, SPEC)
-    assert polar.engine == "polar"
+    assert stated.engine == polar.engine == "polar"
     assert abs(auto.value - polar.value) <= SPEC.rel_tol * auto.magnitude
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0])
+def test_opaque_cubic_gauge_matches_the_gamma_form(lam):
+    # g = |x|^3 in the plane: the integral of exp(-lam g) is
+    # 2 pi Gamma(2/3) / (3 lam^(2/3)).  The sphere integrand is constant.
+    g_cubed = lambda p: (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
+    problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), g_cubed, f_degree=0, g_degree=3)
+    est = dual_integral(problem, lam, SPEC)
+    exact = 2.0 * math.pi * math.gamma(2.0 / 3.0) / (3.0 * lam ** (2.0 / 3.0))
+    assert est.engine == "polar"
+    assert abs(est.value - exact) <= 1e-14 * exact
+
+
+def test_opaque_f_over_a_three_dim_quartic_is_the_polynomial_result():
+    g = MultiPoly(3, {(4, 0, 0): 1.0, (0, 4, 0): 2.0, (0, 0, 4): 0.5})
+    opaque = dual_integral(SublevelProblem(3, lambda p: np.ones(p.shape[0]), g, f_degree=0), 0.7, SPEC)
+    poly = dual_integral(SublevelProblem(3, MultiPoly.constant(3, 1.0), g), 0.7, SPEC)
+    assert opaque.engine == poly.engine == "polar"
+    assert (opaque.value, opaque.error_estimate, opaque.effort) == (
+        poly.value, poly.error_estimate, poly.effort,
+    )
+
+
+def test_misstated_degree_is_refused_before_any_pass(monkeypatch):
+    # |x|^3 stated as degree 2: only the axis probes (4 points each) run.
+    shapes = []
+
+    def g_cubed(p):
+        shapes.append(p.shape[0])
+        return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
+
+    monkeypatch.setattr(duality, "integrate_polar", None)
+    problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), g_cubed, f_degree=0, g_degree=2)
+    with pytest.raises(InputError):
+        dual_integral(problem, 1.0, SPEC)
+    assert shapes == [4, 4]
 
 
 def test_homogeneous_polynomials_never_reach_the_box(quartic_g, monkeypatch):
@@ -430,6 +469,31 @@ def test_problem_metadata_consistency(disc_g, one_2d):
         SublevelProblem(2, one_2d, MultiPoly.constant(3, 1.0))
     with pytest.raises(InputError):
         SublevelProblem(2, "not callable", disc_g)
+    f_mixed = MultiPoly(2, {(0, 0): 1.0, (2, 0): 1.0})  # 1 + x1^2 has no degree
+    with pytest.raises(InputError):
+        SublevelProblem(2, f_mixed, disc_g, f_degree=0)
+    opaque = lambda p: p[:, 0] ** 2
+    for degrees in ({"f_degree": "abc"}, {"g_degree": -2}, {"g_degree": 0}, {"f_degree": -1},
+                    {"g_degree": math.inf}, {"g_degree": True}, {"f_degree": 10**400}):
+        with pytest.raises(InputError):
+            SublevelProblem(2, opaque, opaque, **degrees)
+    constant_g = SublevelProblem(2, one_2d, MultiPoly.constant(2, 2.0))
+    assert constant_g.g_degree is None
+    with pytest.raises(InputError):
+        v_homogeneous_closed_form(constant_g, 1.0, 1.0)
+    with pytest.raises(InputError):
+        SublevelProblem(2, one_2d, MultiPoly.constant(2, 2.0), g_degree=1)
+
+
+def test_a_misstated_f_degree_cannot_misprice_v(disc_g):
+    # f = 1 + x1^2 over the unit disc: v(1) = pi + pi/4.  Stated as degree
+    # 0, it was dualized whole at the degree-0 lambda and gave 3 pi / 2
+    # under a 2e-14 certificate; only the component route prices it now.
+    f = MultiPoly(2, {(0, 0): 1.0, (2, 0): 1.0})
+    with pytest.raises(InputError):
+        v_dual_homogeneous(SublevelProblem(2, f, disc_g, f_degree=0), 1.0, SPEC)
+    value, _ = v_polynomial(SublevelProblem(2, f, disc_g), 1.0, SPEC)
+    assert value == pytest.approx(5.0 * math.pi / 4.0, rel=1e-13)
 
 
 def test_certificate_validation():
