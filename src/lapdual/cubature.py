@@ -227,11 +227,51 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _hermite_rule(n)
 
 
+def _tensor_block(axes, lo, hi):
+    """Points, shape (hi - lo, d), and tensor weights of the grid points
+    with flat C-order indices lo .. hi - 1 (last axis fastest).
+
+    Each weight is the product ((w_(d-1) * w_(d-2)) * ...) * w_0, formed
+    in that order.  The rows of axis 0 that the range touches are built
+    by broadcasting axis 0 over the grid of the other axes, then the
+    range is sliced out.  A range that crosses rows longer than a chunk
+    is split at the row boundary, so a block built for a range of at most
+    one chunk holds fewer than three chunks of points.
+    """
+    nodes, weights = axes[0]
+    if len(axes) == 1:
+        return nodes[lo:hi, np.newaxis].copy(), weights[lo:hi].copy()
+    inner = math.prod(n.size for n, _ in axes[1:])
+    r0, r1 = lo // inner, -(-hi // inner)
+    if r1 - r0 == 1:
+        start = 0
+        sub_pts, sub_w = _tensor_block(axes[1:], lo - r0 * inner, hi - r0 * inner)
+    elif inner > _TENSOR_CHUNK:
+        split = (r0 + 1) * inner
+        head, tail = _tensor_block(axes, lo, split), _tensor_block(axes, split, hi)
+        return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
+    else:
+        start = lo - r0 * inner
+        sub_pts, sub_w = _tensor_block(axes[1:], 0, inner)
+    pts = np.empty((r1 - r0, sub_w.size, len(axes)))
+    pts[:, :, 0] = nodes[r0:r1, np.newaxis]
+    pts[:, :, 1:] = sub_pts
+    w = np.multiply.outer(weights[r0:r1], sub_w)
+    return pts.reshape(-1, len(axes))[start:start + hi - lo], w.reshape(-1)[start:start + hi - lo]
+
+
 def _tensor_apply(phi, axes):
     """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid
     of the per-axis rules ``axes`` (one (nodes, weights) pair per axis),
-    chunked deterministically, plus the number of points."""
-    dim = len(axes)
+    plus the number of points.
+
+    The order is a contract, so every engine's value is a pure function
+    of its rules: the points run in C order (last axis fastest) and are
+    cut into consecutive chunks of _TENSOR_CHUNK points; phi sees one
+    chunk at a time; each chunk's two partial sums are numpy sums of the
+    chunk's products w * phi, with w formed as in ``_tensor_block``; and
+    the partials are added with ``math.fsum``.
+    """
     sizes = [nodes.size for nodes, _ in axes]
     total_points = math.prod(sizes)
     if total_points > MAX_TENSOR_POINTS:
@@ -242,20 +282,11 @@ def _tensor_apply(phi, axes):
     partials = []
     abs_partials = []
     for lo in range(0, total_points, _TENSOR_CHUNK):
-        idx = np.arange(lo, min(lo + _TENSOR_CHUNK, total_points))
-        pts = np.empty((idx.size, dim))
-        w = np.ones(idx.size)
-        rem = idx
-        for j in range(dim - 1, -1, -1):
-            nodes, weights = axes[j]
-            digit = rem % sizes[j]
-            rem = rem // sizes[j]
-            pts[:, j] = nodes[digit]
-            w *= weights[digit]
+        pts, w = _tensor_block(axes, lo, min(lo + _TENSOR_CHUNK, total_points))
         vals = np.asarray(phi(pts), dtype=float)
-        if vals.shape != (idx.size,):
+        if vals.shape != w.shape:
             raise InputError(
-                f"integrand returned shape {vals.shape}, expected ({idx.size},)"
+                f"integrand returned shape {vals.shape}, expected {w.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("integrand returned a non-finite value at a quadrature node")
@@ -645,16 +676,11 @@ def monte_carlo_sublevel(
     )
 
 
-def sphere_minimum(g, dim: int) -> float:
-    """Estimated minimum of g over the unit sphere by dense sampling.
-
-    Axis and (for moderate dimensions) diagonal directions are always
-    included, which picks up the exact minimizer for the symmetric
-    polynomials this package benchmarks; random directions come from a
-    fixed internal stream so the estimate is deterministic.
-    """
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
+@lru_cache(maxsize=None)
+def _sphere_directions(dim: int) -> np.ndarray:
+    """The unit directions ``sphere_minimum`` samples in R^dim, read-only:
+    the axes, the corners for dim <= 12, and _SPHERE_SAMPLES normalized
+    normal draws from a fixed stream when dim > 1."""
     directions = [np.eye(dim), -np.eye(dim)]
     if dim <= 12:
         corners = np.array(
@@ -667,7 +693,24 @@ def sphere_minimum(g, dim: int) -> float:
         keep = norms > 1e-9
         directions.append(draws[keep] / norms[keep, np.newaxis])
     pts = np.vstack(directions)
-    vals = np.asarray(g(pts), dtype=float)
+    pts.setflags(write=False)
+    return pts
+
+
+def sphere_minimum(g, dim: int) -> float:
+    """Estimated minimum of g over the unit sphere by dense sampling.
+
+    Axis and (for moderate dimensions) diagonal directions are always
+    included, which picks up the exact minimizer for the symmetric
+    polynomials this package benchmarks; random directions come from a
+    fixed internal stream so the estimate is deterministic.  The
+    directions depend only on dim and are built once per dim.
+    """
+    if not isinstance(dim, int) or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    # g gets its own copy, so an evaluator that writes into its argument
+    # neither fails on the read-only cache nor changes it.
+    vals = np.asarray(g(_sphere_directions(dim).copy()), dtype=float)
     return float(np.min(vals))
 
 

@@ -17,12 +17,19 @@ _MIX_2 = 0x94D049BB133111EB
 
 def raw64(seed: int, start: int, count: int) -> np.ndarray:
     """uint64 words for counters start .. start+count-1 under ``seed``."""
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    # Wraparound multiply/add modulo 2**64 is intended throughout.
-    z = _U64(seed & _MASK) + (counters + _U64(1)) * _U64(_GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX_1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX_2)
-    return z ^ (z >> _U64(31))
+    z = np.arange(start, start + count, dtype=np.uint64)
+    # Wraparound multiply/add modulo 2**64 is intended throughout; every
+    # step runs in place on z, with one buffer for the shifted words.
+    z += _U64(1)
+    z *= _U64(_GOLDEN)
+    z += _U64(seed & _MASK)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, _U64(30), out=shifted)
+    z *= _U64(_MIX_1)
+    z ^= np.right_shift(z, _U64(27), out=shifted)
+    z *= _U64(_MIX_2)
+    z ^= np.right_shift(z, _U64(31), out=shifted)
+    return z
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:

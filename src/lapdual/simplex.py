@@ -127,20 +127,43 @@ def orthant_monomial_evaluator(alpha):
     The zero extension realizes the convention that simplex integrands
     vanish off the nonnegative orthant, so whole-box engines (Monte
     Carlo, box cubature) can be pointed at simplex problems directly.
+
+    Evaluated column by column: the mask is x_1 > 0, and-ed with each
+    x_j > 0 in turn; on the masked rows the powers x_j^alpha_j come from
+    one numpy power of those rows by alpha, and the product starts at
+    x_1^alpha_1 and multiplies in x_2^alpha_2, ..., x_d^alpha_d.  For
+    d <= 7 that is the float sequence of ``np.prod(..., axis=1)``, so
+    the values equal it bit for bit.
     """
     alpha = np.asarray(_validate_alpha(alpha))
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
-        mask = np.all(pts > 0.0, axis=1)
+        mask = pts[:, 0] > 0.0
+        for j in range(1, pts.shape[1]):
+            mask &= pts[:, j] > 0.0
         if mask.any():
-            out[mask] = np.prod(pts[mask] ** alpha, axis=1)
+            powers = pts[mask] ** alpha
+            prod = powers[:, 0].copy()
+            for j in range(1, powers.shape[1]):
+                prod *= powers[:, j]
+            out[mask] = prod
         return out
 
     return f
 
 
 def simplex_gauge(pts) -> np.ndarray:
-    """g(x) = x_1 + ... + x_d, the sublevel function of the simplex family."""
-    return np.sum(np.asarray(pts, dtype=float), axis=1)
+    """g(x) = x_1 + ... + x_d, the sublevel function of the simplex family.
+
+    Summed column by column, (((0 + x_1) + x_2) + ...) + x_d.  For d <= 7
+    this is the float sequence of ``np.sum(..., axis=1)``, so the values
+    equal it bit for bit; from d = 8 numpy sums pairwise, and the two
+    may differ in the last few ulps (by at most d ulps of the sum of |x_j|).
+    """
+    pts = np.asarray(pts, dtype=float)
+    total = pts[:, 0] + 0.0
+    for j in range(1, pts.shape[1]):
+        total += pts[:, j]
+    return total

@@ -21,6 +21,7 @@ from lapdual import (
     monte_carlo_sublevel,
     sphere_minimum,
 )
+from lapdual import cubature, rng
 from lapdual.cubature import MAX_HERMITE_NODES
 
 MC_SPEC = QuadratureSpec(engine="monte-carlo", sample_count=10**6, seed=0)
@@ -503,3 +504,91 @@ def test_multipoly_overflow_is_an_evaluation_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EvaluationError):
             integrate_box(MultiPoly.monomial(1, (400,)), 1, QuadratureSpec(box_radius=10.0))
+
+
+def _tensor_reference(phi, axes):
+    """_tensor_apply's contract written out: C-order digits from
+    np.unravel_index, the same chunks, weights multiplied from the last
+    axis to the first, numpy sums per chunk and fsum over the chunks.
+    Also returns each chunk's points and weights."""
+    sizes = tuple(nodes.size for nodes, _ in axes)
+    total = math.prod(sizes)
+    partials, abs_partials, chunks = [], [], []
+    for lo in range(0, total, cubature._TENSOR_CHUNK):
+        digits = np.unravel_index(np.arange(lo, min(lo + cubature._TENSOR_CHUNK, total)), sizes)
+        pts = np.column_stack([nodes[i] for (nodes, _), i in zip(axes, digits)])
+        w = np.ones(len(pts))
+        for (_, weights), i in reversed(list(zip(axes, digits))):
+            w = w * weights[i]
+        chunks.append((pts, w))
+        w = w * phi(pts)
+        partials.append(float(np.sum(w)))
+        abs_partials.append(float(np.sum(np.abs(w))))
+    return math.fsum(partials), math.fsum(abs_partials), total, chunks
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (600_001,), (96, 96, 96), (7, 300, 11), (3, 2, 5, 7), (2, 300_001)],
+    ids=lambda sizes: "x".join(map(str, sizes)),
+)
+def test_tensor_apply_order_contract(sizes):
+    rs = np.random.default_rng(len(sizes) * 1000 + sizes[-1])
+    axes = [(rs.standard_normal(n), rs.uniform(0.1, 2.0, n)) for n in sizes]
+    coefficients = np.arange(1.0, len(sizes) + 1.0) * 0.37
+
+    def phi(pts):
+        return np.cos(pts @ coefficients) + pts[:, 0] ** 2
+
+    value, magnitude, points = cubature._tensor_apply(phi, axes)
+    ref_value, ref_magnitude, ref_points, ref_chunks = _tensor_reference(phi, axes)
+    assert (value.hex(), magnitude.hex(), points) == (
+        ref_value.hex(), ref_magnitude.hex(), ref_points
+    )
+    # A sum of many terms hides a last-ulp change in a few weights, so the
+    # points and weights of every chunk are compared too.
+    for i, (ref_pts, ref_w) in enumerate(ref_chunks):
+        lo = i * cubature._TENSOR_CHUNK
+        pts, w = cubature._tensor_block(axes, lo, lo + len(ref_w))
+        assert pts.tobytes() == ref_pts.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+def _sphere_minimum_reference(g, dim):
+    directions = [np.eye(dim), -np.eye(dim)]
+    if dim <= 12:
+        corners = np.array(
+            [[(1.0 if (i >> j) & 1 else -1.0) for j in range(dim)] for i in range(2**dim)]
+        )
+        directions.append(corners / math.sqrt(dim))
+    if dim > 1:
+        draws = rng.standard_normals(0x5F3759DF, 0, 8192 * dim).reshape(-1, dim)
+        norms = np.linalg.norm(draws, axis=1)
+        keep = norms > 1e-9
+        directions.append(draws[keep] / norms[keep, np.newaxis])
+    return float(np.min(g(np.vstack(directions))))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 13])
+def test_sphere_minimum_directions_built_once(dim, monkeypatch):
+    terms = {tuple(4 * (j == i) for j in range(dim)): 1.0 + i for i in range(dim)}
+    if dim > 1:
+        terms[(2, 2) + (0,) * (dim - 2)] = -1.5
+    g = MultiPoly(dim, terms)
+    expected = _sphere_minimum_reference(g, dim)
+    draws = []
+    normals = rng.standard_normals
+    monkeypatch.setattr(rng, "standard_normals", lambda *a: draws.append(a) or normals(*a))
+
+    def overwriting(pts):
+        values = g(pts)
+        pts[:] = 0.0  # the caller's copy, not the cached directions
+        return values
+
+    cubature._sphere_directions.cache_clear()
+    try:
+        results = [sphere_minimum(overwriting, dim), sphere_minimum(g, dim)]
+        assert cubature._sphere_directions(dim).flags.writeable is False
+    finally:
+        cubature._sphere_directions.cache_clear()
+    assert [r.hex() for r in results] == [expected.hex()] * 2
+    assert len(draws) == (dim > 1)

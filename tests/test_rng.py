@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lapdual import rng
 
@@ -42,3 +43,21 @@ def test_normals_are_standard():
 def test_large_seed_accepted():
     u = rng.uniforms(2**64 - 1, 0, 16)
     assert np.all(np.isfinite(u))
+
+
+def _splitmix64(seed, i):
+    """Output i of the stream under ``seed``, in Python integers."""
+    mask = (1 << 64) - 1
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**63, 2**64 - 5])
+def test_raw64_matches_pure_python_splitmix64(seed, start):
+    # start 2**64 - 5 with 5 words ends on the last counter, 2**64 - 1.
+    words = rng.raw64(seed, start, 5)
+    assert words.dtype == np.uint64
+    assert [int(w) for w in words] == [_splitmix64(seed, start + i) for i in range(5)]

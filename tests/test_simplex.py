@@ -189,3 +189,45 @@ def test_monomial_validation():
         SimplexMonomial((-1.0,), 1.0)
     with pytest.raises(InputError):
         SimplexMonomial((0.0,), "x")
+
+
+def _points(d, rows, lo=-0.5, seed=0):
+    """Rows in [lo, 2)^d with exact zeros and negatives mixed in."""
+    pts = np.random.default_rng(seed).uniform(lo, 2.0, (rows, d))
+    pts[::7, d - 1] = 0.0
+    pts[::11, 0] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_simplex_evaluators_equal_numpy_reductions(d):
+    pts = _points(d, 5000, seed=d)
+    # The column sum starts from 0, as numpy's does, so even -0.0 rows agree.
+    assert simplex_gauge(pts).tobytes() == np.sum(pts, axis=1).tobytes()
+    alpha = np.random.default_rng(100 + d).uniform(0.0, 2.5, d)
+    alpha[0] = (0.0, 0.5, 1.0, 2.0)[d % 4]
+    mask = np.all(pts > 0.0, axis=1)
+    reference = np.zeros(len(pts))
+    reference[mask] = np.prod(pts[mask] ** alpha, axis=1)
+    assert orthant_monomial_evaluator(alpha)(pts).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("d", range(8, 13))
+def test_simplex_gauge_within_d_ulps_of_numpy_sum(d):
+    # From d = 8 numpy sums pairwise, the gauge column by column.
+    on_simplex = _points(d, 20000, lo=0.0, seed=d)
+    reference = np.sum(on_simplex, axis=1)
+    assert np.all(np.abs(simplex_gauge(on_simplex) - reference) <= d * np.spacing(reference))
+    mixed = _points(d, 20000, seed=d)
+    scale = np.sum(np.abs(mixed), axis=1)
+    assert np.all(np.abs(simplex_gauge(mixed) - np.sum(mixed, axis=1)) <= d * np.spacing(scale))
+
+
+def test_orthant_monomial_zero_rows_and_indicator():
+    pts = _points(3, 3000)
+    off = ~np.all(pts > 0.0, axis=1)
+    assert off.any()
+    values = orthant_monomial_evaluator((0.5, 1.5, 2.0))(pts)
+    assert np.all(values[off] == 0.0) and not np.signbit(values[off]).any()
+    indicator = orthant_monomial_evaluator((0.0, 0.0, 0.0))(pts)
+    assert indicator.tobytes() == np.where(off, 0.0, 1.0).tobytes()
