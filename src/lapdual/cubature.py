@@ -4,11 +4,11 @@ Four engines cover every integral the package evaluates:
 
 - tensor-product Gauss-Legendre over a box [-r, r]^d, with optional
   automatic box enlargement for integrands that decay at infinity (the
-  dual of data without homogeneity degrees, d >= 4, and the direct
-  box-indicator estimate);
+  dual of data without homogeneity degrees, and the direct box-indicator
+  estimate);
 - a sphere rule for integrals against exp(-lam * g) with f and g
-  positively homogeneous in d <= 3, polynomials or opaque evaluators
-  whose degrees the caller supplies: homogeneity reduces the
+  positively homogeneous in any dimension, polynomials or opaque
+  evaluators whose degrees the caller supplies: homogeneity reduces the
   whole-space integral to one over the unit sphere, so no box is needed;
 - a Gaussian-weight rule for integrals against exp(-lam * x'Qx) with Q
   symmetric positive definite (tensor Gauss-Hermite after a linear
@@ -62,9 +62,9 @@ _MAX_ENLARGEMENTS = 8
 # at its initial radius, the polar engine on the sphere).
 _MAX_REFINEMENTS = 6
 
-# Largest pass of the polar engine (d = 3 at 1024 nodes per angle).  A
-# smooth sphere integrand converges far below it, and a divergent one
-# (g vanishing on a ray between the nodes) is refused in about a second.
+# Largest pass of the polar engine (1024 nodes per angle at d = 3, 32 at
+# d = 5).  A divergent sphere integrand (g vanishing on a ray between the
+# nodes) is refused in about a second.
 _MAX_SPHERE_POINTS = 1 << 21
 
 # Largest Gauss-Hermite rule numpy builds: past it the ratio of central to
@@ -404,24 +404,41 @@ def integrate_box(
     )
 
 
+@lru_cache(maxsize=None)
+def _polar_angle_rule(n: int, m: int):
+    """n-point rule in t = cos(theta) with the weight (1 - t^2)^(m/2) folded in:
+    Gauss-Legendre for even m, Gauss-Chebyshev of the second kind for odd m."""
+    if m % 2 == 0:
+        t, w = gauss_legendre_rule(n)
+    else:
+        theta = math.pi * np.arange(1, n + 1) / (n + 1)
+        t, w = np.cos(theta), math.pi / (n + 1) * np.sin(theta) ** 2
+    rule = t, w * (1.0 - t * t) ** (m // 2)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _sphere_sum(h, dim: int, n: int):
-    """_tensor_apply of h over the sphere rule with n nodes per angle on
-    the unit sphere S^(dim-1), dim 2 or 3."""
+    """_tensor_apply of h over the product rule (Stroud 1971) on the unit
+    sphere S^(dim-1), dim >= 2: a ``_polar_angle_rule`` with n nodes per
+    polar angle, then the azimuth trapezoid, with 2n nodes when dim >= 3."""
     m = n if dim == 2 else 2 * n
     azimuth = (2.0 * math.pi * np.arange(m) / m, np.full(m, 2.0 * math.pi / m))
-    if dim == 2:
-        return _tensor_apply(
-            lambda params: h(np.column_stack((np.cos(params[:, 0]), np.sin(params[:, 0])))),
-            [azimuth],
-        )
 
     def on_sphere(params):
-        # d sigma = dt d phi with t = cos(theta).
-        t, azi = params[:, 0], params[:, 1]
-        s = np.sqrt(1.0 - t * t)
-        return h(np.column_stack((s * np.cos(azi), s * np.sin(azi), t)))
+        # From the circle up: S^(i-1) sits in S^i at height x_(i+1) = t,
+        # scaled by sqrt(1 - t^2), with t from the rule of weight exponent i - 2.
+        pts = np.empty((params.shape[0], dim))
+        pts[:, 0], pts[:, 1] = np.cos(params[:, -1]), np.sin(params[:, -1])
+        for i in range(2, dim):
+            t = params[:, dim - 1 - i]
+            pts[:, :i] *= np.sqrt(1.0 - t * t)[:, np.newaxis]
+            pts[:, i] = t
+        return h(pts)
 
-    return _tensor_apply(on_sphere, [gauss_legendre_rule(n), azimuth])
+    polar = [_polar_angle_rule(n, dim - 3 - j) for j in range(dim - 2)]
+    return _tensor_apply(on_sphere, polar + [azimuth])
 
 
 def _times_exp(s: float, log_scale: float) -> float:
@@ -448,10 +465,10 @@ def integrate_polar(
 
         integral f exp(-lam g) dx = Gamma(p) / (d_g lam^p) * integral f g^(-p) dsigma.
 
-    The sphere rule is the exact two-point sum over {+1, -1} for dim 1,
-    a periodic trapezoid rule in the angle for dim 2, and Gauss-Legendre
-    in cos(theta) times a trapezoid rule with twice the nodes in the
-    azimuth for dim 3.  Nodes per angle start at ``spec.nodes_per_axis``
+    The sphere rule is the exact two-point sum over {+1, -1} for dim 1
+    and otherwise ``_sphere_sum``'s product rule, n nodes per polar angle
+    and 2n in the azimuth (n^(dim-2) * 2n points; n for dim 2).
+    Nodes per angle start at ``spec.nodes_per_axis``
     and double until two passes differ by at most ``spec.rel_tol`` times
     the later pass's magnitude, max(|value|, sum of w * |f g^(-p)|), as
     in ``integrate_box``; ``spec.engine`` and ``spec.box_radius`` are
@@ -460,8 +477,9 @@ def integrate_polar(
     Raises UnboundedSublevelError when g is not positive at a node (g
     vanishes on a ray, so its sublevel sets are unbounded),
     EvaluationError on a non-finite value, and EffortError when the
-    passes do not agree within 6 doublings or before a pass would exceed
-    2^21 nodes.
+    passes do not agree within 6 doublings of at most 2^21 points each,
+    before any pass when fewer than two fit (dim 4 or >= 6 at 64 nodes);
+    dim 4 from 8 or 16 nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
 
     Parameters
     ----------
@@ -469,14 +487,14 @@ def integrate_polar(
         Vectorized evaluators, (N, dim) -> (N,); the homogeneity degrees
         are the caller's facts, not checked here.
     dim : int
-        Ambient dimension, 1 to 3.
+        Ambient dimension, >= 1.
     k, d_g : float
         Homogeneity degrees of f (k >= 0) and g (d_g > 0).
     lam : float
         Positive weight scale.
     """
-    if dim not in (1, 2, 3):
-        raise InputError(f"integrate_polar supports dim 1 to 3, got {dim!r}")
+    if not isinstance(dim, int) or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
     if not (k >= 0 and d_g > 0):
         raise InputError(f"degrees must satisfy k >= 0 and d_g > 0, got k={k!r}, d_g={d_g!r}")
     if not lam > 0:
@@ -497,15 +515,16 @@ def integrate_polar(
         # S^0 = {+1, -1} under counting measure: the two-point sum is exact.
         value, magnitude, effort = _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
     else:
-        # No node lies exactly on a coordinate axis (the d = 3 grid skips
-        # the poles, and cos(pi/2) != 0 in floating point), yet that is
-        # where a degenerate g such as x1^2 most often vanishes.
+        # The axes are where a degenerate g such as x1^2 most often vanishes,
+        # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
+        # polar rules skip the poles and cos(pi/2) != 0 in floating point.
         h(np.vstack((np.eye(dim), -np.eye(dim))))
         nodes = [spec.nodes_per_axis << i for i in range(_MAX_REFINEMENTS + 1)]
-        schedule = [(n * (2 * n if dim == 3 else 1), (n,)) for n in nodes]
+        schedule = [(n if dim == 2 else 2 * n ** (dim - 1), (n,)) for n in nodes]
         value, magnitude, effort, _ = _doubling(
             partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
-            "the sphere rule", "g may vanish or nearly vanish on a ray",
+            "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
+            "more nodes than the cap allows",
         )
     log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
     value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)

@@ -19,8 +19,8 @@ integral into one over the unit sphere,
 
     integral of f * exp(-lam * g) = Gamma(p) / (d_g * lam^p) * integral of f * g^(-p) dsigma,
 
-so positively homogeneous data in d <= 3, polynomial or opaque with
-stated degrees, is integrated there, with no box, tail or enlargement
+so positively homogeneous data in any dimension, polynomial or opaque
+with stated degrees, is integrated there, with no box, tail or enlargement
 loop (``dual_integral`` dispatches on the degrees SublevelProblem holds).
 
 For a general polynomial f (no sign restriction) the homogeneous
@@ -45,6 +45,7 @@ import numpy as np
 from .cubature import (
     ENGINE_BOX,
     ENGINE_GAUSSIAN,
+    ENGINE_POLAR,
     IntegralEstimate,
     QuadratureSpec,
     gauss_legendre_rule,
@@ -256,15 +257,15 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     in this order:
 
     1. g a positive-definite quadratic form: the Gaussian-weight rule.
-    2. ``problem.f_degree`` and ``problem.g_degree`` both known and
-       dim <= 3, whatever the representation of f and g: the polar
-       engine, one integral over the unit sphere.  A stated degree of an
-       opaque evaluator is first checked on the axis probes (InputError
-       when f or g does not scale with it).
-    3. Anything else (f or g of no degree, dim >= 4): box Gauss-Legendre
+    2. ``problem.g_degree`` known, and f of known degree or a MultiPoly,
+       in any dim: the polar engine, one integral over the unit sphere; a
+       MultiPoly f of no single degree is summed over its homogeneous
+       components in ascending degree by ``math.fsum`` (a zero f: exactly
+       0.0, no evaluation).  A stated degree of an opaque evaluator is
+       first checked on the axis probes (InputError when it does not fit).
+    3. Anything else (an opaque f or a g of no degree): box Gauss-Legendre
        with an automatic radius; the initial radius puts the weight's
-       boundary exponent at 40 when g has a degree and a positive sphere
-       minimum.
+       boundary exponent at 40 when g has a degree and a positive sphere minimum.
 
     ``spec.box_radius`` is ignored: the box is always chosen and
     verified here.  g is checked for nonnegativity at every point the
@@ -280,9 +281,14 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
             gaussian_spec = replace(spec, engine=ENGINE_GAUSSIAN)
             return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
     k, d_g = problem.f_degree, problem.g_degree
-    if k is not None and d_g is not None and problem.dim <= 3:
+    if d_g is not None and (k is not None or isinstance(problem.f, MultiPoly)):
         _check_stated_degrees(problem)
-        return integrate_polar(problem.f, g_eval, problem.dim, k, d_g, lam, spec)
+        pieces = [(k, problem.f)] if k is not None else problem.f.homogeneous_components()
+        parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec) for j, f_j in pieces]
+        return IntegralEstimate(
+            math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
+            None, math.fsum(e.magnitude for e in parts), math.fsum(e.error_estimate for e in parts),
+        )
 
     f_eval = problem.f
 

@@ -318,6 +318,40 @@ def test_find_lambda_integrates_only_inside_the_search(tmp_path, capsys, monkeyp
     assert doc["phi"] == inner(disc, doc["lambda"], spec).value
 
 
+def test_find_lambda_polynomial_f_over_the_fig1_quartic(tmp_path):
+    # f = 1 + |x|^2 / 2 has no single degree; its components run on the sphere.
+    f_terms = {(0, 0): 1.0, (2, 0): 0.5, (0, 2): 0.5}
+    problem = SublevelProblem(2, MultiPoly(2, f_terms), cli.FIG1_QUARTIC)
+    target = duality.dual_integral(problem, 0.7, QuadratureSpec()).value
+    doc = {
+        "dim": 2,
+        "f": {"dim": 2, "terms": [{"coef": c, "exps": list(e)} for e, c in f_terms.items()]},
+        "g": cli.FIG1_QUARTIC.to_json_dict(),
+        "y": 1.0,
+    }
+    path = write_problem(tmp_path / "fig1.json", doc)
+    proc = run_cli("find-lambda", "--input", path, "--target", repr(target))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["lambda"] == pytest.approx(0.7, rel=1e-8)
+
+
+def test_integrate_four_dim_quartic_runs_on_the_sphere(tmp_path):
+    terms = [([4, 0, 0, 0], 1.0), ([0, 4, 0, 0], 1.5), ([0, 0, 4, 0], 2.0), ([0, 0, 0, 4], 2.5)]
+    doc = {
+        "dim": 4,
+        "f": {"dim": 4, "terms": [{"coef": 1.0, "exps": [0, 0, 0, 0]}]},
+        "g": {"dim": 4, "terms": [{"coef": c, "exps": e} for e, c in terms]},
+        "y": 1.0,
+        "quadrature": {"nodes_per_axis": 16, "sample_count": 400_000},
+    }
+    path = write_problem(tmp_path / "quartic4.json", doc)
+    proc = run_cli("integrate", "--input", path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["certificates"][0]["method"] == "dual-cubature"
+    assert abs(out["v_dual"] - out["v_direct_mc"]) <= 3.0 * out["mc_std_error"]
+
+
 def test_find_lambda_bracket_error_exits_3(tmp_path):
     path = write_problem(tmp_path / "disc.json", DISC)
     proc = run_cli("find-lambda", "--input", path, "--target", "1e9")

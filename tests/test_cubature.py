@@ -436,15 +436,88 @@ def test_polar_non_finite_value():
 
 
 def test_polar_input_errors():
-    f = MultiPoly.constant(4, 1.0)
-    g = _sphere_quartic(4, (1.0,) * 4)
-    with pytest.raises(InputError):
-        integrate_polar(f, g, 4, 0, 4, 1.0, QuadratureSpec())
     f2, g2 = MultiPoly.constant(2, 1.0), _sphere_quartic(2, (1.0, 1.0))
+    for dim in (0, 2.0):
+        with pytest.raises(InputError):
+            integrate_polar(f2, g2, dim, 0, 4, 1.0, QuadratureSpec())
     with pytest.raises(InputError):
         integrate_polar(f2, g2, 2, 0, 4, -1.0, QuadratureSpec())
     with pytest.raises(InputError):
         integrate_polar(f2, g2, 2, 0, 0, 1.0, QuadratureSpec())
+
+
+def _sphere_sum_two_and_three_dim(h, dim, n):
+    """The sphere rules for dim 2 and 3 as written before one product
+    rule served every dim, kept as the reference that rule must equal."""
+    m = n if dim == 2 else 2 * n
+    azimuth = (2.0 * math.pi * np.arange(m) / m, np.full(m, 2.0 * math.pi / m))
+    if dim == 2:
+        return cubature._tensor_apply(
+            lambda params: h(np.column_stack((np.cos(params[:, 0]), np.sin(params[:, 0])))),
+            [azimuth],
+        )
+
+    def on_sphere(params):
+        t, azi = params[:, 0], params[:, 1]
+        s = np.sqrt(1.0 - t * t)
+        return h(np.column_stack((s * np.cos(azi), s * np.sin(azi), t)))
+
+    return cubature._tensor_apply(on_sphere, [gauss_legendre_rule(n), azimuth])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 7, 64, 384])
+def test_sphere_sum_keeps_the_two_and_three_dim_rules(dim, n):
+    # 384 * 768 points in d = 3 span two tensor chunks.
+    f = MultiPoly(dim, {(1,) * dim: 2.0, (2,) + (0,) * (dim - 1): -0.5, (0,) * dim: 1.0})
+    cross = MultiPoly(dim, {(2, 2) + (0,) * (dim - 2): -0.9})
+    g = _sphere_quartic(dim, (1.0, 2.5, 0.7)[:dim]) + cross
+
+    def h(p):
+        return f(p) * g(p) ** -0.75
+
+    assert cubature._sphere_sum(h, dim, n) == _sphere_sum_two_and_three_dim(h, dim, n)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_sphere_sum_area_and_moments(dim):
+    # |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2); over it x_j^2 averages 1/d and
+    # x_j^4 averages 3/(d(d+2)), which 8 nodes per angle integrate exactly.
+    area = 2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+    n = 8
+    total, _, _ = cubature._sphere_sum(lambda p: np.ones(len(p)), dim, n)
+    assert total == pytest.approx(area, rel=1e-14)
+    for j in range(dim):
+        second, _, _ = cubature._sphere_sum(lambda p: p[:, j] ** 2, dim, n)
+        fourth, _, _ = cubature._sphere_sum(lambda p: p[:, j] ** 4, dim, n)
+        assert second == pytest.approx(area / dim, rel=1e-14)
+        assert fourth == pytest.approx(3.0 * area / (dim * (dim + 2)), rel=1e-14)
+
+
+def test_polar_four_dim_separable_quartic():
+    a = (1.0, 1.5, 2.0, 2.5)
+    f_terms = {
+        (2, 2, 0, 0): 1.0, (0, 0, 4, 0): 3.0, (4, 0, 0, 0): -1.0, (1, 3, 0, 0): 5.0, (0, 0, 2, 2): 0.5
+    }
+    lam = 1.7
+    spec = QuadratureSpec(nodes_per_axis=16)
+    est = integrate_polar(MultiPoly(4, f_terms), _sphere_quartic(4, a), 4, 4, 4, lam, spec)
+    assert est.value == pytest.approx(_separable_quartic_integral(f_terms, a, lam), rel=1e-13)
+
+
+def test_sphere_refusal_names_the_node_cap_as_well_as_a_ray():
+    # In d = 5 the 16- and 32-node passes (2^17 and 2^21 points) are the
+    # only ones under the cap, and a smooth g is not converged to 1e-9
+    # at 16 nodes, so the node cap is as likely a cause as a vanishing ray.
+    g = _sphere_quartic(5, (1.0, 1.375, 1.75, 2.125, 2.5))
+    with pytest.raises(EffortError) as err:
+        integrate_polar(
+            MultiPoly.constant(5, 1.0), g, 5, 0, 4, 1.0, QuadratureSpec(nodes_per_axis=16)
+        )
+    message = str(err.value)
+    assert "vanish" in message and "on a ray" in message
+    assert "more nodes than the cap allows" in message
+    assert "2 passes that fit under the cap" in message
 
 
 def _counting(h, counts):

@@ -276,6 +276,74 @@ def test_homogeneous_polynomials_never_reach_the_box(quartic_g, monkeypatch):
     value, certs = v_polynomial(SublevelProblem(2, f, quartic_g), 1.0, SPEC)
     assert [c.method for c in certs] == ["dual-cubature"] * 4
     assert value == pytest.approx(sum(c.v_value for c in certs), rel=1e-15)
+    # dual_integral sums the components' sphere integrals in ascending degree.
+    whole = dual_integral(SublevelProblem(2, f, quartic_g), 0.7, SPEC)
+    parts = [
+        dual_integral(SublevelProblem(2, f_k, quartic_g), 0.7, SPEC)
+        for _, f_k in f.homogeneous_components()
+    ]
+    assert whole.engine == "polar"
+    assert whole.value == math.fsum(p.value for p in parts)
+    assert whole.effort == sum(p.effort for p in parts)
+    positive = SublevelProblem(2, MultiPoly(2, {(0, 0): 1.0, (2, 0): 0.5, (0, 2): 0.5}), quartic_g)
+    target = dual_integral(positive, 0.7, SPEC).value
+    lam = find_lambda_for_target(positive, target, (1e-3, 1e3), SPEC)
+    assert lam == pytest.approx(0.7, rel=1e-8)
+    assert final_value_check(positive, 1e-3, SPEC) > target
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_dual_integral_of_a_zero_polynomial_is_exactly_zero(quartic_g, dim):
+    # The zero polynomial has no homogeneous components, so nothing runs.
+    g = quartic_g if dim == 2 else _four_dim_quartic()
+    est = dual_integral(SublevelProblem(dim, MultiPoly.zero(dim), g), 1.0, SPEC)
+    assert est.engine == "polar"
+    assert (est.value, est.effort, est.magnitude, est.error_estimate) == (0.0, 0, 0.0, 0.0)
+
+
+def _four_dim_quartic(extra=None):
+    """sum a_i x_i^4 with a_i = 1, 1.5, 2, 2.5, plus ``extra`` terms."""
+    terms = {(4, 0, 0, 0): 1.0, (0, 4, 0, 0): 1.5, (0, 0, 4, 0): 2.0, (0, 0, 0, 4): 2.5}
+    return MultiPoly(4, {**terms, **(extra or {})})
+
+
+@pytest.mark.parametrize("nodes", [8, 16])
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-9])
+def test_four_dim_separable_quartic_runs_on_the_sphere(nodes, rel_tol):
+    # integral of exp(-sum a_i x_i^4) = prod_i Gamma(1/4) / (2 a_i^(1/4)).
+    spec = QuadratureSpec(nodes_per_axis=nodes, rel_tol=rel_tol)
+    problem = SublevelProblem(4, MultiPoly.constant(4, 1.0), _four_dim_quartic())
+    est = dual_integral(problem, 1.0, spec)
+    a = (1.0, 1.5, 2.0, 2.5)
+    exact = math.exp(sum(math.lgamma(0.25) - math.log(2.0) - 0.25 * math.log(a_i) for a_i in a))
+    assert est.engine == "polar"
+    assert abs(est.value - exact) <= est.error_estimate
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.7])
+def test_four_dim_radial_quartic(lam):
+    # (sum x_i^2)^2 = |x|^4: |S^3| * integral r^3 exp(-lam r^4) dr = pi^2 / (2 lam).
+    g = MultiPoly(4, {})
+    for i in range(4):
+        for j in range(4):
+            g = g + MultiPoly.monomial(4, tuple(2 * (k == i) + 2 * (k == j) for k in range(4)))
+    problem = SublevelProblem(4, MultiPoly.constant(4, 1.0), g)
+    est = dual_integral(problem, lam, QuadratureSpec(nodes_per_axis=16))
+    assert est.value == pytest.approx(math.pi**2 / (2.0 * lam), rel=1e-13)
+
+
+def test_four_dim_quartic_with_cross_terms_matches_monte_carlo():
+    # |0.4 x1 x2^3| <= 0.1 x1^4 + 0.3 x2^4 and |0.8 x3^2 x4^2| <= 0.4 (x3^4 + x4^4),
+    # so g is positive on the sphere.
+    g = _four_dim_quartic({(1, 3, 0, 0): 0.4, (0, 0, 2, 2): -0.8, (2, 0, 2, 0): 0.7})
+    problem = SublevelProblem(4, MultiPoly(4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 1.0}), g)
+    value, certs = v_polynomial(problem, 1.0, QuadratureSpec(nodes_per_axis=16))
+    doubled, _ = v_polynomial(problem, 1.0, QuadratureSpec(nodes_per_axis=32))
+    assert [c.method for c in certs] == ["dual-cubature"] * 2
+    assert abs(value - doubled) <= sum(c.error_estimate for c in certs)
+    spec = QuadratureSpec(engine="monte-carlo", sample_count=400_000, seed=1)
+    mc = monte_carlo_sublevel(problem.f, g, 4, 1.0, auto_enclosing_radius(g, 1.0), spec)
+    assert abs(value - mc.value) <= 3.0 * mc.std_error
 
 
 @pytest.mark.parametrize(
@@ -399,13 +467,15 @@ def test_phi_is_nonincreasing(disc_problem, interval_problem):
 
 
 def test_phi_nonincreasing_box_engine(quartic_g, one_2d):
-    problem = SublevelProblem(2, one_2d, quartic_g)
+    # The constant polynomial runs on the sphere; an opaque f with no
+    # degree keeps the quartic on the box engine.
     spec = QuadratureSpec(nodes_per_axis=48, rel_tol=1e-7)
-    values = [
-        dual_integral(problem, float(lam), spec).value for lam in np.geomspace(0.1, 10.0, 8)
-    ]
-    for a, b in zip(values, values[1:]):
-        assert b <= a * (1.0 + 1e-6)
+    for f in (one_2d, lambda p: np.ones(p.shape[0])):
+        problem = SublevelProblem(2, f, quartic_g)
+        estimates = [dual_integral(problem, float(lam), spec) for lam in np.geomspace(0.1, 10.0, 8)]
+        for a, b in zip(estimates, estimates[1:]):
+            assert b.value <= a.value * (1.0 + 1e-6)
+    assert {e.engine for e in estimates} == {"box-gauss-legendre"}
 
 
 def test_find_lambda_interval(interval_problem):
@@ -603,15 +673,31 @@ def test_gaussian_certificate_for_opaque_f(disc_g):
 
 
 def test_box_refuses_a_schedule_without_two_passes_up_front():
-    # At 64 nodes per axis in d = 4 only the first pass (64^4 = 2^24
-    # points) fits under the cap, so no two passes can ever agree.
+    # An opaque f with no degree keeps the data on the box engine.  At 64
+    # nodes per axis in d = 4 only the first pass (64^4 = 2^24 points)
+    # fits under the cap, so no two passes can ever agree.
     calls = []
 
     def f(p):
         calls.append(p.shape[0])
         return np.ones(p.shape[0])
 
-    g = MultiPoly(4, {(4, 0, 0, 0): 1.0, (0, 4, 0, 0): 1.5, (0, 0, 4, 0): 2.0, (0, 0, 0, 4): 2.5})
     with pytest.raises(EffortError):
-        dual_integral(SublevelProblem(4, f, g, f_degree=0), 1.0, SPEC)
+        dual_integral(SublevelProblem(4, f, _four_dim_quartic()), 1.0, SPEC)
     assert calls == []
+
+
+def test_sphere_refuses_a_schedule_without_two_passes_up_front():
+    # With f's degree stated the data runs on the sphere.  At 64 nodes per
+    # angle in d = 4 the first pass has 64^2 * 128 = 2^19 points and the
+    # second 128^2 * 256 = 2^22, over the 2^21 cap, so only the axis probes
+    # run: the degree check's two and the sphere's one, 8 points each.
+    calls = []
+
+    def f(p):
+        calls.append(p.shape[0])
+        return np.ones(p.shape[0])
+
+    with pytest.raises(EffortError, match="none run"):
+        dual_integral(SublevelProblem(4, f, _four_dim_quartic(), f_degree=0), 1.0, SPEC)
+    assert calls == [8, 8, 8]
