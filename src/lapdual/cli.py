@@ -22,6 +22,7 @@ import numpy as np
 from .cubature import (
     ENGINE_BOX,
     ENGINE_MONTE_CARLO,
+    MAX_TENSOR_POINTS,
     QuadratureSpec,
     enclosing_radius,
     integrate_box,
@@ -121,7 +122,8 @@ def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
 
 
 def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
-    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box."""
+    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box,
+    the box rule at the most nodes per axis that fit under MAX_TENSOR_POINTS."""
     if pf.mode == "simplex":
         terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
 
@@ -139,8 +141,12 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     def indicator_integrand(pts):
         return np.asarray(f(pts), dtype=float) * (np.asarray(g(pts), dtype=float) <= y)
 
+    n = min(spec.nodes_per_axis, round(MAX_TENSOR_POINTS ** (1.0 / pf.dim)))
+    while n ** pf.dim > MAX_TENSOR_POINTS:
+        n -= 1
     box = integrate_box(
-        indicator_integrand, pf.dim, replace(spec, engine=ENGINE_BOX, box_radius=radius)
+        indicator_integrand, pf.dim,
+        replace(spec, engine=ENGINE_BOX, box_radius=radius, nodes_per_axis=n),
     )
     return mc, box
 

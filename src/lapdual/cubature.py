@@ -10,9 +10,9 @@ Four engines cover every integral the package evaluates:
   positively homogeneous in any dimension, polynomials or opaque
   evaluators whose degrees the caller supplies: homogeneity reduces the
   whole-space integral to one over the unit sphere, so no box is needed;
-- a Gaussian-weight rule for integrals against exp(-lam * x'Qx) with Q
-  symmetric positive definite (tensor Gauss-Hermite after a linear
-  change of variables);
+- a Gaussian-weight engine for integrals against exp(-lam * x'Qx) with Q
+  symmetric positive definite: exact moments for a polynomial f, tensor
+  Gauss-Hermite after a linear change of variables for an opaque one;
 - hit-or-miss Monte Carlo over a sublevel set {g <= y} inside a known
   enclosing box, with a counter-based RNG so results are a pure
   function of (inputs, seed) regardless of how work is partitioned.
@@ -69,8 +69,11 @@ _MAX_SPHERE_POINTS = 1 << 21
 
 # Largest Gauss-Hermite rule numpy builds: past it the ratio of central to
 # tail weights leaves the double range and every weight comes back 0 or NaN.
-# A 370-node rule is exact to degree 739, beyond any moment that fits a double.
 MAX_HERMITE_NODES = 370
+
+# Most Gaussian moments formed for one polynomial f: about 1 s at d = 8-10,
+# where one took 22-28 us on a 2-vCPU Xeon (0.3-0.5 s at d <= 4, 1.4 s at d = 16).
+_MAX_GAUSSIAN_MOMENTS = 40_000
 
 _SEED_SPHERE = 0x5F3759DF  # fixed internal stream for sphere sampling
 _SPHERE_SAMPLES = 8192  # random directions sampled by sphere_minimum
@@ -119,10 +122,10 @@ class IntegralEstimate:
 
     ``std_error`` is present exactly when the engine is Monte Carlo;
     deterministic engines report None.  ``effort`` counts integrand
-    evaluations actually performed.  ``magnitude`` is the sum of
-    w * |integrand| over the final pass of the box, polar or
-    Gaussian-weight engine (for the latter two, scaled like the value),
-    the scale their error estimates use; Monte Carlo reports None.
+    evaluations, or Gaussian moments formed for a polynomial f.  ``magnitude``
+    is the sum of w * |integrand| over the final pass of the box, polar or
+    Gaussian-weight engine (the latter two scaled like the value; moments on
+    |Sigma| for a polynomial f), their error estimates' scale; Monte Carlo None.
 
     ``error_estimate`` is the engine's own bound on the error of
     ``value``: rel_tol * max(|value|, magnitude) for the box and polar
@@ -468,18 +471,18 @@ def integrate_polar(
     The sphere rule is the exact two-point sum over {+1, -1} for dim 1
     and otherwise ``_sphere_sum``'s product rule, n nodes per polar angle
     and 2n in the azimuth (n^(dim-2) * 2n points; n for dim 2).
-    Nodes per angle start at ``spec.nodes_per_axis``
-    and double until two passes differ by at most ``spec.rel_tol`` times
-    the later pass's magnitude, max(|value|, sum of w * |f g^(-p)|), as
-    in ``integrate_box``; ``spec.engine`` and ``spec.box_radius`` are
-    not used.  The scale Gamma(p) / (d_g lam^p) is formed in log space.
+    Nodes per angle start at ``spec.nodes_per_axis``, halved until twice
+    that fits too, and double until two passes differ by at most
+    ``spec.rel_tol`` times the later pass's magnitude, max(|value|, sum of
+    w * |f g^(-p)|), as in ``integrate_box``; ``spec.engine`` and
+    ``spec.box_radius`` are not used.  The scale is formed in log space.
 
     Raises UnboundedSublevelError when g is not positive at a node (g
     vanishes on a ray, so its sublevel sets are unbounded),
     EvaluationError on a non-finite value, and EffortError when the
     passes do not agree within 6 doublings of at most 2^21 points each,
-    before any pass when fewer than two fit (dim 4 or >= 6 at 64 nodes);
-    dim 4 from 8 or 16 nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
+    before any pass when fewer than two fit even from 1 node (dim >= 22).
+    dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
 
     Parameters
     ----------
@@ -519,8 +522,11 @@ def integrate_polar(
         # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
         # polar rules skip the poles and cos(pi/2) != 0 in floating point.
         h(np.vstack((np.eye(dim), -np.eye(dim))))
-        nodes = [spec.nodes_per_axis << i for i in range(_MAX_REFINEMENTS + 1)]
-        schedule = [(n if dim == 2 else 2 * n ** (dim - 1), (n,)) for n in nodes]
+        size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
+        n = spec.nodes_per_axis
+        while n > 1 and size(2 * n) > _MAX_SPHERE_POINTS:  # start where two passes fit
+            n //= 2
+        schedule = [(size(n << i), (n << i,)) for i in range(_MAX_REFINEMENTS + 1)]
         value, magnitude, effort, _ = _doubling(
             partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
             "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
@@ -534,6 +540,44 @@ def integrate_polar(
     )
 
 
+def _moment_count(exps, cap):
+    """Moments ``_gaussian_moments`` forms for E[x^exps], E[1] included, counted
+    until past ``cap``: each gamma <= exps whose first nonzero index i has R <= L,
+    R + L even, R (L) the degree removed after (up to) i; ``poly`` counts each R."""
+    total, poly = 1, np.ones(1)
+    for i in range(len(exps) - 1, -1, -1):
+        for removed in range(sum(exps[:i]), sum(exps[:i + 1])):
+            total += int(poly[removed % 2:removed + 1:2].sum())
+            if total > cap:
+                return total
+        poly = np.convolve(poly, np.ones(exps[i] + 1))
+    return total
+
+
+def _gaussian_moments(exponents, sigma):
+    """{a: (E[x^a], the same on |sigma|)}, x ~ N(0, sigma), for ``exponents`` of even
+    degree and the moments they need: Isserlis' E[x_i x^b] = sum_j sigma_ij b_j
+    E[x^(b - e_j)], i the first nonzero index of a, formed in ascending degree."""
+    steps, stack = {}, list(exponents)
+    while stack:
+        a = stack.pop()
+        if a not in steps:
+            i = next((j for j, e in enumerate(a) if e), 0)
+            b = a[:i] + (a[i] - 1,) + a[i + 1:]
+            kids = tuple((j, e, b[:j] + (e - 1,) + b[j + 1:]) for j, e in enumerate(b) if e > 0)
+            steps[a] = i, kids
+            stack.extend(c for _, _, c in kids)
+    rows, abs_rows = sigma.tolist(), np.abs(sigma).tolist()
+    moments = {}
+    for a in sorted(steps, key=sum):
+        i, kids = steps[a]
+        moments[a] = (
+            sum(rows[i][j] * e * moments[c][0] for j, e, c in kids),
+            sum(abs_rows[i][j] * e * moments[c][1] for j, e, c in kids),
+        ) if kids else (1.0, 1.0)
+    return moments
+
+
 def integrate_gaussian_quadratic(
     f: Callable[[np.ndarray], np.ndarray],
     Q: np.ndarray,
@@ -542,12 +586,11 @@ def integrate_gaussian_quadratic(
 ) -> IntegralEstimate:
     """Integral of f(x) * exp(-lam * x'Qx) over R^d for symmetric PD Q.
 
-    Substituting x = S^{-1} u / sqrt(lam), where Q = S'S is a Cholesky
-    factorization, reduces the integral to a standard Gaussian-weight
-    tensor rule, exact for polynomial f of degree <= 2n - 1 with n nodes
-    per axis.  n is ``nodes_per_axis``, raised to floor(deg f / 2) + 1
-    when f is a MultiPoly, and capped at MAX_HERMITE_NODES; a MultiPoly
-    f of degree above 2 * MAX_HERMITE_NODES - 1 raises EffortError.
+    It is pi^(d/2) / (lam^(d/2) sqrt(det Q)) * E[f(x)], x ~ N(0, (2 lam Q)^(-1)).
+    A MultiPoly f is exact, its moments from Isserlis' recursion (EffortError
+    before any is formed past _MAX_GAUSSIAN_MOMENTS, EvaluationError past the
+    double range).  An opaque f takes tensor Gauss-Hermite in u = sqrt(lam) S x,
+    Q = S'S, at min(``nodes_per_axis``, MAX_HERMITE_NODES) nodes per axis.
 
     Parameters
     ----------
@@ -576,57 +619,37 @@ def integrate_gaussian_quadratic(
         chol_lower = np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         raise InputError("Q must be positive definite (Cholesky factorization failed)")
-    det_factor = float(np.prod(np.diag(chol_lower)))  # = sqrt(det Q)
     # x = M u with M = S^{-1} / sqrt(lam), S = chol_lower'.
     transform = np.linalg.inv(chol_lower.T) / math.sqrt(lam)
 
-    n, degree, shrink = spec.nodes_per_axis, None, 0
     if isinstance(f, MultiPoly):
-        # An n-node rule is exact to degree 2n - 1, so f's degree sizes it.
-        if f.degree > 2 * MAX_HERMITE_NODES - 1:
-            raise EffortError(
-                f"f has degree {f.degree}; the largest Gauss-Hermite rule "
-                f"({MAX_HERMITE_NODES} nodes) is exact only to degree {2 * MAX_HERMITE_NODES - 1}"
-            )
-        n = max(n, f.degree // 2 + 1)
-        degree = f.homogeneity_degree()
-    nodes, weights = gauss_hermite_rule(min(n, MAX_HERMITE_NODES))
-    if degree:
-        # Every node has |x_j| <= reach.  Where f's terms could overflow
-        # there, evaluate at x / 2^m: f(x) = 2^(m * degree) f(x / 2^m)
-        # exactly, and the outer nodes' tiny weights keep the sum finite.
-        reach = float(np.max(np.abs(transform).sum(axis=1))) * float(nodes[-1])
-        bound = degree * math.log2(reach) + math.log2(math.fsum(abs(c) for _, c in f.terms))
-        if bound >= sys.float_info.max_exp - 1:
-            shrink = max(0, math.ceil(math.log2(reach)))
-    scaled = transform * 2.0**-shrink
-
-    def phi(u_pts):
-        return np.asarray(f(u_pts @ scaled.T), dtype=float)
-
-    raw, raw_magnitude, effort = _tensor_apply(phi, [(nodes, weights)] * dim)
-    scale = lam ** (dim / 2.0) * det_factor
-    value, magnitude = raw / scale, raw_magnitude / scale
-    if shrink:
-        try:
-            value = math.ldexp(value, shrink * degree)
-            magnitude = math.ldexp(magnitude, shrink * degree)
-        except OverflowError:
-            raise EvaluationError(
-                "the Gaussian-weight integral overflows double precision"
-            ) from None
-    if isinstance(f, MultiPoly):
-        # Exact for a polynomial f, so only rounding is left: about dim + 3
-        # roundings per node coordinate (Cholesky transform, lam), which
-        # deg f + dim multiplies, times the condition number of Q's
-        # correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the
-        # Cholesky factor and det Q.  max(|v|, magnitude) keeps a component
-        # that cancels to ~0 honest.
+        # Odd moments of a centred Gaussian vanish, so only even terms count.
+        even = [(a, c) for a, c in f.terms if sum(a) % 2 == 0]
+        if sum(_moment_count(a, _MAX_GAUSSIAN_MOMENTS) for a, _ in even) > _MAX_GAUSSIAN_MOMENTS:
+            raise EffortError(f"f needs over {_MAX_GAUSSIAN_MOMENTS} Gaussian moments, none formed")
+        moments = _gaussian_moments([a for a, _ in even], transform @ transform.T / 2.0)
+        log_det = float(np.sum(np.log(np.diag(chol_lower))))  # log sqrt(det Q)
+        scale = exp_in_range(dim / 2.0 * math.log(math.pi / lam) - log_det, "the Gaussian scale")
+        # |E[x^a]| <= its |sigma| twin, so a finite magnitude bounds every sum.
+        magnitude = scale * sum(abs(c) * moments[a][1] for a, c in even)
+        if not math.isfinite(magnitude):
+            raise EvaluationError("the Gaussian-weight integral overflows double precision")
+        value = scale * math.fsum(c * moments[a][0] for a, c in even)
+        # Exact, so only rounding is left: about dim + 3 roundings (Sigma, the
+        # recursion's sums) per unit of deg f + dim, times the condition number
+        # of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the
+        # Cholesky factor and det Q.  max(|v|, magnitude) keeps a cancelling f honest.
         diag = np.sqrt(np.diag(Q))
         kappa = float(np.linalg.cond(Q / np.outer(diag, diag)))
         rounding = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
-        error = max(abs(value), magnitude) * rounding
+        error, effort = max(abs(value), magnitude) * rounding, len(moments)
     else:
+        nodes, weights = gauss_hermite_rule(min(spec.nodes_per_axis, MAX_HERMITE_NODES))
+        raw, raw_magnitude, effort = _tensor_apply(
+            lambda u_pts: np.asarray(f(u_pts @ transform.T), dtype=float), [(nodes, weights)] * dim
+        )
+        scale = lam ** (dim / 2.0) * float(np.prod(np.diag(chol_lower)))  # sqrt(det Q)
+        value, magnitude = raw / scale, raw_magnitude / scale
         error = abs(value) * 1e-14
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, None, magnitude, error)
 

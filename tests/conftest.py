@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,3 +62,20 @@ def run_cli(*args):
 def write_problem(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def separable_power_integral(f_terms, a, lam, m):
+    """Integral of f exp(-lam * sum_i a_i x_i^m) over R^d for even m, term by
+    term in log space: integral of x^b exp(-c x^m) dx = 2 Gamma((b + 1)/m) /
+    (m c^((b + 1)/m)) for even b, and 0 for odd b.  ``f_terms`` maps exponent
+    tuples to coefficients (a dict or MultiPoly.terms)."""
+    total = 0.0
+    for exps, coef in dict(f_terms).items():
+        if any(b % 2 for b in exps):
+            continue
+        log_term = sum(
+            math.log(2.0 / m) + math.lgamma((b + 1) / m) - (b + 1) / m * math.log(lam * a_i)
+            for b, a_i in zip(exps, a)
+        )
+        total += coef * math.exp(log_term)
+    return total

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import run_cli, write_problem
+from conftest import run_cli, separable_power_integral, write_problem
 from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, duality
 from lapdual.cli import main
 
@@ -43,6 +43,22 @@ def test_integrate_disc(tmp_path):
     assert doc["certificates"][0]["lambda_y"] == pytest.approx(1.0, rel=1e-12)
     assert doc["certificates"][0]["method"] == "dual-gaussian"
     assert abs(doc["v_dual"] - doc["v_direct_mc"]) <= 5.0 * doc["mc_std_error"]
+
+
+def test_integrate_five_dim_ball_at_the_default_spec(tmp_path, capsys):
+    # No quadrature block: the dual takes exact Gaussian moments, and the
+    # box-indicator pass runs at 27 nodes per axis, the most whose 27^5
+    # points fit under the tensor cap.
+    a = [1.0 + 0.1 * i for i in range(5)]
+    g = [{"coef": a_i, "exps": [2 * (j == i) for j in range(5)]} for i, a_i in enumerate(a)]
+    doc = {"dim": 5, "f": {"dim": 5, "terms": [{"coef": 1.0, "exps": [2, 2, 0, 0, 0]}]},
+           "g": {"dim": 5, "terms": g}, "y": 1.0}
+    assert main(["integrate", "--input", write_problem(tmp_path / "ball.json", doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    exact = separable_power_integral({(2, 2, 0, 0, 0): 1.0}, a, 1.0, 2) / math.gamma(5.5)
+    assert out["v_dual"] == pytest.approx(exact, rel=1e-13)
+    assert abs(out["v_dual"] - out["v_direct_mc"]) <= 3.0 * out["mc_std_error"]
+    assert out["v_direct_boxindicator"] == pytest.approx(exact, rel=0.02)
 
 
 def test_integrate_simplex_closed_form(tmp_path):

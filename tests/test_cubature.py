@@ -1,9 +1,11 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import separable_power_integral
 from lapdual import (
     EffortError,
     EvaluationError,
@@ -342,11 +344,97 @@ def test_gaussian_rule_sized_to_f_degree():
     assert base.value == pytest.approx(exact, rel=1e-12)
 
 
-def test_gaussian_rule_refuses_degree_beyond_largest_rule():
-    f = MultiPoly.monomial(1, (2 * MAX_HERMITE_NODES,))
-    spec = QuadratureSpec(engine="gaussian-quadratic")
-    with pytest.raises(EffortError):
-        integrate_gaussian_quadratic(f, np.eye(1), 1.0, spec)
+GAUSS_SPEC = QuadratureSpec(engine="gaussian-quadratic")
+
+
+def test_gaussian_moments_refuse_a_value_beyond_the_double_range():
+    # x^740 against exp(-x^2) is Gamma(370.5), past the largest double.
+    with pytest.raises(EvaluationError, match="overflows"):
+        integrate_gaussian_quadratic(MultiPoly.monomial(1, (740,)), np.eye(1), 1.0, GAUSS_SPEC)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_gaussian_moments_match_lgamma_products_for_diagonal_q(dim):
+    a = [1.0 + 0.1 * i for i in range(dim)]
+    f_terms = {(0,) * dim: 2.0, (2, 2) + (0,) * (dim - 2): 1.0}
+    quartic = (0,) * (dim - 1) + (4,)
+    f_terms[quartic] = f_terms.get(quartic, 0.0) - 0.5
+    est = integrate_gaussian_quadratic(MultiPoly(dim, f_terms), np.diag(a), 0.7, GAUSS_SPEC)
+    exact = separable_power_integral(f_terms, a, 0.7, 2)
+    assert est.value == pytest.approx(exact, rel=1e-13)
+    assert abs(est.value - exact) <= est.error_estimate
+
+
+def _gaussian_by_expansion(f_terms, Q, lam):
+    """mpmath value of the integral of f exp(-lam x'Qx): x = M u with
+    M = L^(-T) / sqrt(lam), Q = L L', f(M u) expanded in u, and the
+    integral of u^b exp(-u^2) = Gamma((b + 1) / 2) for even b."""
+    mpmath = pytest.importorskip("mpmath")
+    dim = len(Q)
+    with mpmath.workdps(40):
+        M = mpmath.inverse(mpmath.cholesky(mpmath.matrix(Q)).T) / mpmath.sqrt(lam)
+        total = mpmath.mpf(0)
+        for exps, coef in f_terms.items():
+            poly = {(0,) * dim: mpmath.mpf(1)}
+            for j, e in enumerate(exps):
+                for _ in range(e):
+                    grown = {}
+                    for key, c in poly.items():
+                        for k in range(dim):
+                            up = key[:k] + (key[k] + 1,) + key[k + 1:]
+                            grown[up] = grown.get(up, 0) + c * M[j, k]
+                    poly = grown
+            total += coef * mpmath.fsum(
+                c * mpmath.fprod(mpmath.gamma((b + 1) / mpmath.mpf(2)) for b in key)
+                for key, c in poly.items() if not any(b % 2 for b in key)
+            )
+        return float(total * mpmath.det(M))
+
+
+@pytest.mark.parametrize("Q", [
+    [[1.0, 0.4], [0.4, 2.0]],
+    [[2.0, 0.5, -0.3], [0.5, 1.5, 0.2], [-0.3, 0.2, 1.0]],
+], ids=["d2", "d3"])
+def test_gaussian_moments_match_mpmath_for_correlated_q(Q):
+    dim = len(Q)
+    pad = (0,) * (dim - 2)
+    f_terms = {
+        (0, 0) + pad: 1.5, (2, 0) + pad: -1.0, (1, 1) + pad: 0.7, (1, 0) + pad: 5.0,
+        (3, 1) + pad: -0.4, (2, 4) + pad: 0.3, (1, 3) + pad: 2.0,
+    }
+    if dim == 3:
+        f_terms.update({(1, 1, 2): 2.0, (2, 2, 2): 0.3, (0, 1, 5): -0.8})
+    est = integrate_gaussian_quadratic(MultiPoly(dim, f_terms), np.array(Q), 0.7, GAUSS_SPEC)
+    exact = _gaussian_by_expansion(f_terms, Q, 0.7)
+    assert est.value == pytest.approx(exact, rel=1e-13)
+    assert abs(est.value - exact) <= est.error_estimate
+
+
+@pytest.mark.parametrize("k, q", [(800, 146.0), (2000, 400.0)])
+def test_gaussian_moments_of_high_degree_stay_in_range(k, q):
+    # Both degrees are past the largest Gauss-Hermite rule's exactness.
+    est = integrate_gaussian_quadratic(MultiPoly.monomial(1, (k,)), q * np.eye(1), 1.0, GAUSS_SPEC)
+    exact = separable_power_integral({(k,): 1.0}, (q,), 1.0, 2)
+    assert est.effort == k // 2 + 1
+    assert abs(est.value - exact) <= est.error_estimate
+
+
+def test_gaussian_moments_refuse_a_large_closure_before_forming_any(monkeypatch):
+    # prod x_j^6 at d = 10 needs 830,244 moments.
+    formed = []
+    monkeypatch.setattr(cubature, "_gaussian_moments", lambda *args: formed.append(args))
+    f = MultiPoly.monomial(10, (6,) * 10)
+    t0 = time.perf_counter()
+    with pytest.raises(EffortError, match="none formed"):
+        integrate_gaussian_quadratic(f, np.eye(10) + 0.1, 1.0, GAUSS_SPEC)
+    assert time.perf_counter() - t0 < 0.1
+    assert formed == []
+
+
+@pytest.mark.parametrize("exps", [(4,), (2, 2), (1, 1), (2, 2, 0, 4), (3, 1, 2), (6, 6, 6), (5, 0, 3, 2)])
+def test_moment_count_is_the_size_of_the_closure(exps):
+    sigma = np.eye(len(exps)) + 0.1
+    assert cubature._moment_count(exps, 10**6) == len(cubature._gaussian_moments([exps], sigma))
 
 
 def test_integrate_box_vanishing_component_converges(quartic_g):
@@ -367,21 +455,6 @@ def test_integrate_box_vanishing_component_converges(quartic_g):
 
 def _sphere_quartic(dim, a):
     return MultiPoly(dim, {tuple(4 if j == i else 0 for j in range(dim)): a_i for i, a_i in enumerate(a)})
-
-
-def _separable_quartic_integral(f_terms, a, lam):
-    """integral of f exp(-lam * sum a_i x_i^4) over R^d, term by term:
-    integral of x^b exp(-c x^4) dx = Gamma((b + 1)/4) / (2 c^((b + 1)/4)), b even."""
-    total = 0.0
-    for exps, coef in f_terms.items():
-        if any(b % 2 for b in exps):
-            continue
-        log_term = sum(
-            math.lgamma((b + 1) / 4.0) - math.log(2.0) - (b + 1) / 4.0 * math.log(lam * a_i)
-            for b, a_i in zip(exps, a)
-        )
-        total += coef * math.exp(log_term)
-    return total
 
 
 def test_polar_one_dimensional_two_point_sum():
@@ -422,7 +495,7 @@ def test_polar_three_dim_separable_quartic():
     f_terms = {(2, 2, 0): 1.0, (0, 0, 4): 3.0, (4, 0, 0): -1.0, (1, 3, 0): 5.0}
     lam = 1.7
     est = integrate_polar(MultiPoly(3, f_terms), _sphere_quartic(3, a), 3, 4, 4, lam, QuadratureSpec())
-    assert est.value == pytest.approx(_separable_quartic_integral(f_terms, a, lam), rel=1e-13)
+    assert est.value == pytest.approx(separable_power_integral(f_terms, a, lam, 4), rel=1e-13)
 
 
 def test_polar_non_finite_value():
@@ -502,7 +575,7 @@ def test_polar_four_dim_separable_quartic():
     lam = 1.7
     spec = QuadratureSpec(nodes_per_axis=16)
     est = integrate_polar(MultiPoly(4, f_terms), _sphere_quartic(4, a), 4, 4, 4, lam, spec)
-    assert est.value == pytest.approx(_separable_quartic_integral(f_terms, a, lam), rel=1e-13)
+    assert est.value == pytest.approx(separable_power_integral(f_terms, a, lam, 4), rel=1e-13)
 
 
 def test_sphere_refusal_names_the_node_cap_as_well_as_a_ray():

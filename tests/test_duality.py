@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import separable_power_integral
 from lapdual import (
     BracketError,
     DualCertificate,
@@ -29,7 +31,7 @@ from lapdual import (
     v_homogeneous_closed_form,
     v_polynomial,
 )
-from lapdual import duality
+from lapdual import cubature, duality
 
 SPEC = QuadratureSpec()
 
@@ -307,15 +309,14 @@ def _four_dim_quartic(extra=None):
     return MultiPoly(4, {**terms, **(extra or {})})
 
 
-@pytest.mark.parametrize("nodes", [8, 16])
+@pytest.mark.parametrize("nodes", [8, 16, 64])
 @pytest.mark.parametrize("rel_tol", [1e-4, 1e-9])
 def test_four_dim_separable_quartic_runs_on_the_sphere(nodes, rel_tol):
-    # integral of exp(-sum a_i x_i^4) = prod_i Gamma(1/4) / (2 a_i^(1/4)).
+    # At 64 nodes only one pass fits, so the sphere starts from 32.
     spec = QuadratureSpec(nodes_per_axis=nodes, rel_tol=rel_tol)
     problem = SublevelProblem(4, MultiPoly.constant(4, 1.0), _four_dim_quartic())
     est = dual_integral(problem, 1.0, spec)
-    a = (1.0, 1.5, 2.0, 2.5)
-    exact = math.exp(sum(math.lgamma(0.25) - math.log(2.0) - 0.25 * math.log(a_i) for a_i in a))
+    exact = separable_power_integral({(0, 0, 0, 0): 1.0}, (1.0, 1.5, 2.0, 2.5), 1.0, 4)
     assert est.engine == "polar"
     assert abs(est.value - exact) <= est.error_estimate
 
@@ -688,16 +689,46 @@ def test_box_refuses_a_schedule_without_two_passes_up_front():
 
 
 def test_sphere_refuses_a_schedule_without_two_passes_up_front():
-    # With f's degree stated the data runs on the sphere.  At 64 nodes per
-    # angle in d = 4 the first pass has 64^2 * 128 = 2^19 points and the
-    # second 128^2 * 256 = 2^22, over the 2^21 cap, so only the axis probes
-    # run: the degree check's two and the sphere's one, 8 points each.
+    # With f's degree stated the data runs on the sphere.  In d = 22 even
+    # the pass at 2 nodes per angle has 2 * 2^21 points, over the 2^21 cap,
+    # so no two passes fit from any start and only the axis probes run: the
+    # degree check's two and the sphere's one, 44 points each.
     calls = []
 
     def f(p):
         calls.append(p.shape[0])
         return np.ones(p.shape[0])
 
+    g = MultiPoly(22, {tuple(4 * (j == i) for j in range(22)): 1.0 for i in range(22)})
     with pytest.raises(EffortError, match="none run"):
-        dual_integral(SublevelProblem(4, f, _four_dim_quartic(), f_degree=0), 1.0, SPEC)
-    assert calls == [8, 8, 8]
+        dual_integral(SublevelProblem(22, f, g, f_degree=0), 1.0, SPEC)
+    assert calls == [44, 44, 44]
+
+
+def test_polynomial_gaussian_dual_builds_no_rule_or_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial f reached a Gauss-Hermite rule or a tensor grid")
+
+    monkeypatch.setattr(cubature, "gauss_hermite_rule", refuse)
+    monkeypatch.setattr(cubature, "_tensor_apply", refuse)
+    f = MultiPoly(3, {(0, 0, 0): 1.0, (2, 0, 2): 2.0, (1, 1, 0): -1.0})
+    g = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.5, (0, 0, 2): 2.0})
+    est = dual_integral(SublevelProblem(3, f, g), 0.8, SPEC)
+    assert est.engine == "gaussian-quadratic"
+    assert est.value == pytest.approx(
+        separable_power_integral(f.terms, (1.0, 1.5, 2.0), 0.8, 2), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("dim", [5, 10, 16])
+def test_v_polynomial_over_a_quadratic_form_in_high_dimension(dim):
+    # v(1) = integral f exp(-g) / Gamma(1 + (d + 4) / 2) for f of degree 4.
+    a = [1.0 + 0.1 * i for i in range(dim)]
+    g = MultiPoly(dim, {tuple(2 * (j == i) for j in range(dim)): a_i for i, a_i in enumerate(a)})
+    f_terms = {(2, 2) + (0,) * (dim - 2): 1.0}
+    t0 = time.perf_counter()
+    value, certs = v_polynomial(SublevelProblem(dim, MultiPoly(dim, f_terms), g), 1.0, SPEC)
+    assert time.perf_counter() - t0 < 0.05
+    exact = separable_power_integral(f_terms, a, 1.0, 2) / math.gamma(1.0 + (dim + 4) / 2.0)
+    assert [c.method for c in certs] == ["dual-gaussian"]
+    assert abs(value - exact) <= certs[0].error_estimate
