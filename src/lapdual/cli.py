@@ -122,8 +122,7 @@ def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
 
 
 def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
-    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box,
-    the box rule at the most nodes per axis that fit under MAX_TENSOR_POINTS."""
+    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box."""
     if pf.mode == "simplex":
         terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
 
@@ -142,7 +141,7 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
         return np.asarray(f(pts), dtype=float) * (np.asarray(g(pts), dtype=float) <= y)
 
     n = min(spec.nodes_per_axis, round(MAX_TENSOR_POINTS ** (1.0 / pf.dim)))
-    while n ** pf.dim > MAX_TENSOR_POINTS:
+    while n ** pf.dim > MAX_TENSOR_POINTS:  # the most nodes per axis the box rule takes
         n -= 1
     box = integrate_box(
         indicator_integrand, pf.dim,

@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -71,9 +72,7 @@ _MAX_SPHERE_POINTS = 1 << 21
 # tail weights leaves the double range and every weight comes back 0 or NaN.
 MAX_HERMITE_NODES = 370
 
-# Most Gaussian moments formed for one polynomial f: about 1 s at d = 8-10,
-# where one took 22-28 us on a 2-vCPU Xeon (0.3-0.5 s at d <= 4, 1.4 s at d = 16).
-_MAX_GAUSSIAN_MOMENTS = 40_000
+_MAX_GAUSSIAN_MOMENTS = 40_000  # per polynomial f, summed over its terms: about 1 s at d = 8-10
 
 _SEED_SPHERE = 0x5F3759DF  # fixed internal stream for sphere sampling
 _SPHERE_SAMPLES = 8192  # random directions sampled by sphere_minimum
@@ -546,35 +545,36 @@ def _moment_count(exps, cap):
     R + L even, R (L) the degree removed after (up to) i; ``poly`` counts each R."""
     total, poly = 1, np.ones(1)
     for i in range(len(exps) - 1, -1, -1):
-        for removed in range(sum(exps[:i]), sum(exps[:i + 1])):
-            total += int(poly[removed % 2:removed + 1:2].sum())
-            if total > cap:
-                return total
+        total += sum(int(poly[r % 2:r + 1:2].sum()) for r in range(sum(exps[:i]), sum(exps[:i + 1])))
+        if total > cap:
+            return total
         poly = np.convolve(poly, np.ones(exps[i] + 1))
     return total
 
 
 def _gaussian_moments(exponents, sigma):
-    """{a: (E[x^a], the same on |sigma|)}, x ~ N(0, sigma), for ``exponents`` of even
-    degree and the moments they need: Isserlis' E[x_i x^b] = sum_j sigma_ij b_j
-    E[x^(b - e_j)], i the first nonzero index of a, formed in ascending degree."""
+    """{a: (E[x^a], the same on |sigma|, s)}, both times 2^-s, x ~ N(0, sigma), for ``exponents``
+    of even degree and the moments they need: Isserlis' E[x_i x^b] = sum_j sigma_ij b_j
+    E[x^(b - e_j)], i the first nonzero index of a, formed one degree at a time, each
+    degree sharing the s that puts its largest twin in [1/2, 1), so none underflows."""
     steps, stack = {}, list(exponents)
     while stack:
         a = stack.pop()
         if a not in steps:
             i = next((j for j, e in enumerate(a) if e), 0)
             b = a[:i] + (a[i] - 1,) + a[i + 1:]
-            kids = tuple((j, e, b[:j] + (e - 1,) + b[j + 1:]) for j, e in enumerate(b) if e > 0)
-            steps[a] = i, kids
-            stack.extend(c for _, _, c in kids)
+            steps[a] = kids = tuple((i, j, e, b[:j] + (e - 1,) + b[j + 1:]) for j, e in enumerate(b) if e > 0)
+            stack.extend(c for *_, c in kids)
     rows, abs_rows = sigma.tolist(), np.abs(sigma).tolist()
-    moments = {}
-    for a in sorted(steps, key=sum):
-        i, kids = steps[a]
-        moments[a] = (
-            sum(rows[i][j] * e * moments[c][0] for j, e, c in kids),
-            sum(abs_rows[i][j] * e * moments[c][1] for j, e, c in kids),
-        ) if kids else (1.0, 1.0)
+    moments, shift = {}, 0
+    for _, level in groupby(sorted(steps, key=sum), key=sum):  # kids are one degree down
+        level = {a: (
+            sum(rows[i][j] * e * moments[c][0] for i, j, e, c in steps[a]),
+            sum(abs_rows[i][j] * e * moments[c][1] for i, j, e, c in steps[a]),
+        ) if any(a) else (1.0, 1.0) for a in level}
+        top = math.frexp(max(m for _, m in level.values()))[1]
+        shift += top
+        moments.update((a, (math.ldexp(v, -top), math.ldexp(m, -top), shift)) for a, (v, m) in level.items())
     return moments
 
 
@@ -587,10 +587,10 @@ def integrate_gaussian_quadratic(
     """Integral of f(x) * exp(-lam * x'Qx) over R^d for symmetric PD Q.
 
     It is pi^(d/2) / (lam^(d/2) sqrt(det Q)) * E[f(x)], x ~ N(0, (2 lam Q)^(-1)).
-    A MultiPoly f is exact, its moments from Isserlis' recursion (EffortError
-    before any is formed past _MAX_GAUSSIAN_MOMENTS, EvaluationError past the
-    double range).  An opaque f takes tensor Gauss-Hermite in u = sqrt(lam) S x,
-    Q = S'S, at min(``nodes_per_axis``, MAX_HERMITE_NODES) nodes per axis.
+    A MultiPoly f is exact: Isserlis' moments, EffortError before any is formed
+    when its terms' closures, each counted in full, sum past _MAX_GAUSSIAN_MOMENTS,
+    EvaluationError past the double range.  An opaque f takes tensor Gauss-Hermite
+    in u = sqrt(lam) S x, Q = S'S, at min(``nodes_per_axis``, MAX_HERMITE_NODES) per axis.
 
     Parameters
     ----------
@@ -626,15 +626,17 @@ def integrate_gaussian_quadratic(
         # Odd moments of a centred Gaussian vanish, so only even terms count.
         even = [(a, c) for a, c in f.terms if sum(a) % 2 == 0]
         if sum(_moment_count(a, _MAX_GAUSSIAN_MOMENTS) for a, _ in even) > _MAX_GAUSSIAN_MOMENTS:
-            raise EffortError(f"f needs over {_MAX_GAUSSIAN_MOMENTS} Gaussian moments, none formed")
+            raise EffortError(f"f's terms need over {_MAX_GAUSSIAN_MOMENTS} Gaussian moments "
+                              "counted term by term, none formed")
         moments = _gaussian_moments([a for a, _ in even], transform @ transform.T / 2.0)
-        log_det = float(np.sum(np.log(np.diag(chol_lower))))  # log sqrt(det Q)
-        scale = exp_in_range(dim / 2.0 * math.log(math.pi / lam) - log_det, "the Gaussian scale")
-        # |E[x^a]| <= its |sigma| twin, so a finite magnitude bounds every sum.
-        magnitude = scale * sum(abs(c) * moments[a][1] for a, c in even)
-        if not math.isfinite(magnitude):
-            raise EvaluationError("the Gaussian-weight integral overflows double precision")
-        value = scale * math.fsum(c * moments[a][0] for a, c in even)
+        log_scale = dim / 2.0 * math.log(math.pi / lam) - float(np.sum(np.log(np.diag(chol_lower))))
+        scale, power = math.frexp(exp_in_range(log_scale, "the Gaussian scale"))
+        try:  # moments are (E, |sigma| twin, s) times 2^-s, and |E| <= twin
+            value = scale * math.fsum(math.ldexp(c * moments[a][0], moments[a][2] + power) for a, c in even)
+            magnitude = scale * math.fsum(
+                math.ldexp(abs(c) * moments[a][1], moments[a][2] + power) for a, c in even)
+        except OverflowError:
+            raise EvaluationError("the Gaussian-weight integral overflows double precision") from None
         # Exact, so only rounding is left: about dim + 3 roundings (Sigma, the
         # recursion's sums) per unit of deg f + dim, times the condition number
         # of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the

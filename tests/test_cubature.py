@@ -410,9 +410,10 @@ def test_gaussian_moments_match_mpmath_for_correlated_q(Q):
     assert abs(est.value - exact) <= est.error_estimate
 
 
-@pytest.mark.parametrize("k, q", [(800, 146.0), (2000, 400.0)])
+@pytest.mark.parametrize("k, q", [(800, 146.0), (2000, 400.0), (6000, 1000.0)])
 def test_gaussian_moments_of_high_degree_stay_in_range(k, q):
-    # Both degrees are past the largest Gauss-Hermite rule's exactness.
+    # Every degree is past the largest Gauss-Hermite rule's exactness.  For
+    # x^6000, E[x^2000] is about e^-1000 on the way to v ~ e^296.
     est = integrate_gaussian_quadratic(MultiPoly.monomial(1, (k,)), q * np.eye(1), 1.0, GAUSS_SPEC)
     exact = separable_power_integral({(k,): 1.0}, (q,), 1.0, 2)
     assert est.effort == k // 2 + 1
