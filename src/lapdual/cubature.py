@@ -39,7 +39,7 @@ from .errors import (
     UnboundedSublevelError,
 )
 from .polyalg import MultiPoly
-from .special import exp_in_range, log_gamma
+from .special import exp_in_range, frexp_exp, log_gamma
 from . import rng
 
 ENGINE_BOX = "box-gauss-legendre"
@@ -587,10 +587,11 @@ def integrate_gaussian_quadratic(
     """Integral of f(x) * exp(-lam * x'Qx) over R^d for symmetric PD Q.
 
     It is pi^(d/2) / (lam^(d/2) sqrt(det Q)) * E[f(x)], x ~ N(0, (2 lam Q)^(-1)).
-    A MultiPoly f is exact: Isserlis' moments, EffortError before any is formed
-    when its terms' closures, each counted in full, sum past _MAX_GAUSSIAN_MOMENTS,
-    EvaluationError past the double range.  An opaque f takes tensor Gauss-Hermite
+    A MultiPoly f is exact: Isserlis' moments, InputError (its dim is not Q's) or
+    EffortError (its terms' closures, each counted in full, sum past
+    _MAX_GAUSSIAN_MOMENTS) before any is formed.  An opaque f takes tensor Gauss-Hermite
     in u = sqrt(lam) S x, Q = S'S, at min(``nodes_per_axis``, MAX_HERMITE_NODES) per axis.
+    A v below the double range is 0.0; one past it raises EvaluationError.
 
     Parameters
     ----------
@@ -621,22 +622,19 @@ def integrate_gaussian_quadratic(
         raise InputError("Q must be positive definite (Cholesky factorization failed)")
     # x = M u with M = S^{-1} / sqrt(lam), S = chol_lower'.
     transform = np.linalg.inv(chol_lower.T) / math.sqrt(lam)
+    log_scale = dim / 2.0 * math.log(math.pi / lam) - float(np.sum(np.log(np.diag(chol_lower))))
 
     if isinstance(f, MultiPoly):
+        if f.dim != dim:
+            raise InputError(f"f has dim {f.dim}, Q has dim {dim}")
         # Odd moments of a centred Gaussian vanish, so only even terms count.
         even = [(a, c) for a, c in f.terms if sum(a) % 2 == 0]
         if sum(_moment_count(a, _MAX_GAUSSIAN_MOMENTS) for a, _ in even) > _MAX_GAUSSIAN_MOMENTS:
             raise EffortError(f"f's terms need over {_MAX_GAUSSIAN_MOMENTS} Gaussian moments "
                               "counted term by term, none formed")
         moments = _gaussian_moments([a for a, _ in even], transform @ transform.T / 2.0)
-        log_scale = dim / 2.0 * math.log(math.pi / lam) - float(np.sum(np.log(np.diag(chol_lower))))
-        scale, power = math.frexp(exp_in_range(log_scale, "the Gaussian scale"))
-        try:  # moments are (E, |sigma| twin, s) times 2^-s, and |E| <= twin
-            value = scale * math.fsum(math.ldexp(c * moments[a][0], moments[a][2] + power) for a, c in even)
-            magnitude = scale * math.fsum(
-                math.ldexp(abs(c) * moments[a][1], moments[a][2] + power) for a, c in even)
-        except OverflowError:
-            raise EvaluationError("the Gaussian-weight integral overflows double precision") from None
+        # moments are (E, |sigma| twin, s) times 2^-s, and |E| <= twin
+        parts = [(c * moments[a][0], abs(c) * moments[a][1], moments[a][2]) for a, c in even]
         # Exact, so only rounding is left: about dim + 3 roundings (Sigma, the
         # recursion's sums) per unit of deg f + dim, times the condition number
         # of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the
@@ -644,15 +642,22 @@ def integrate_gaussian_quadratic(
         diag = np.sqrt(np.diag(Q))
         kappa = float(np.linalg.cond(Q / np.outer(diag, diag)))
         rounding = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
-        error, effort = max(abs(value), magnitude) * rounding, len(moments)
+        effort = len(moments)
     else:
         nodes, weights = gauss_hermite_rule(min(spec.nodes_per_axis, MAX_HERMITE_NODES))
         raw, raw_magnitude, effort = _tensor_apply(
             lambda u_pts: np.asarray(f(u_pts @ transform.T), dtype=float), [(nodes, weights)] * dim
         )
-        scale = lam ** (dim / 2.0) * float(np.prod(np.diag(chol_lower)))  # sqrt(det Q)
-        value, magnitude = raw / scale, raw_magnitude / scale
-        error = abs(value) * 1e-14
+        # The Hermite weights already carry pi^(d/2).
+        parts, rounding = [(raw, raw_magnitude, 0)], None
+        log_scale -= dim / 2.0 * math.log(math.pi)
+    scale, power = frexp_exp(log_scale)
+    try:
+        value = scale * math.fsum(math.ldexp(v, s + power) for v, _, s in parts)
+        magnitude = scale * math.fsum(math.ldexp(m, s + power) for _, m, s in parts)
+    except OverflowError:
+        raise EvaluationError("the Gaussian-weight integral overflows double precision") from None
+    error = abs(value) * 1e-14 if rounding is None else max(abs(value), magnitude) * rounding
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, None, magnitude, error)
 
 
@@ -689,6 +694,11 @@ def monte_carlo_sublevel(
     if y < 0:
         raise InputError(f"y must be nonnegative, got {y!r}")
 
+    try:
+        box_volume = (2.0 * radius) ** dim
+    except OverflowError:
+        raise EvaluationError(
+            f"the box volume (2 * {radius})^{dim} overflows double precision") from None
     n_samples = spec.sample_count
     sums = []
     sums_sq = []
@@ -707,7 +717,6 @@ def monte_carlo_sublevel(
         sums_sq.append(float(np.sum(summand * summand)))
     s1 = math.fsum(sums)
     s2 = math.fsum(sums_sq)
-    box_volume = (2.0 * radius) ** dim
     mean = s1 / n_samples
     value = box_volume * mean
     if n_samples > 1:

@@ -96,9 +96,10 @@ class SublevelProblem:
     homogeneity degrees every consumer reads, None when there is none.
     For a MultiPoly the degree is counted from its terms; a stated
     degree that differs, or any stated degree on a non-homogeneous
-    polynomial, raises InputError.  For an opaque evaluator the stated
-    degree is taken as given here, and ``dual_integral`` checks it on
-    the axes before it selects the sphere.  A stated degree must be a
+    polynomial, raises InputError.  An opaque evaluator's stated degree
+    is checked here, for every route, on the axis probes 2 * (+-e_j) then
+    +-e_j: InputError unless h scales by 2^degree to 1e-12 relative (a
+    non-finite value is left to the engines).  A stated degree must be a
     finite real number with f_degree >= 0 and g_degree >= 1; a constant
     g has no degree (None, never 0).  g is assumed nonnegative with
     compact sublevel sets and is checked opportunistically at the points
@@ -127,6 +128,17 @@ class SublevelProblem:
             if not isinstance(h, MultiPoly):
                 if not callable(h):
                     raise InputError(f"{name} must be a MultiPoly or a callable evaluator")
+                if stated is not None:  # h must scale by 2^stated from +-e_j to 2 * (+-e_j)
+                    probes = np.vstack((np.eye(self.dim), -np.eye(self.dim)))
+                    found = np.asarray(h(2.0 * probes), dtype=float)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        expected = np.float64(2.0) ** stated * np.asarray(h(probes), dtype=float)
+                        off = np.abs(found - expected) > _DEGREE_RTOL * np.maximum(
+                            np.abs(found), np.abs(expected))
+                    if np.any(off & np.isfinite(found) & np.isfinite(expected)):
+                        raise InputError(
+                            f"{name} does not scale with its stated degree {stated}: doubling "
+                            f"the axis points gives {found.tolist()}, not {expected.tolist()}")
                 continue
             if h.dim != self.dim:
                 raise InputError(f"{name} has dim {h.dim}, problem has dim {self.dim}")
@@ -230,26 +242,6 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
-def _check_stated_degrees(problem: SublevelProblem) -> None:
-    """InputError unless each opaque evaluator scales by 2^degree from the
-    axis probes +-e_j to 2 * (+-e_j), to 1e-12 relative.  A MultiPoly's
-    degree is counted from its terms, and a non-finite value is left to
-    the engines."""
-    probes = np.vstack((np.eye(problem.dim), -np.eye(problem.dim)))
-    for name, h, degree in (("f", problem.f, problem.f_degree), ("g", problem.g, problem.g_degree)):
-        if isinstance(h, MultiPoly):
-            continue
-        found = np.asarray(h(2.0 * probes), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.float64(2.0) ** degree * np.asarray(h(probes), dtype=float)
-            off = np.abs(found - expected) > _DEGREE_RTOL * np.maximum(np.abs(found), np.abs(expected))
-        if np.any(off & np.isfinite(found) & np.isfinite(expected)):
-            raise InputError(
-                f"{name} does not scale with its stated degree {degree}: doubling the axis "
-                f"points gives {found.tolist()}, not {expected.tolist()}"
-            )
-
-
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
@@ -261,8 +253,7 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
        in any dim: the polar engine, one integral over the unit sphere; a
        MultiPoly f of no single degree is summed over its homogeneous
        components in ascending degree by ``math.fsum`` (a zero f: exactly
-       0.0, no evaluation).  A stated degree of an opaque evaluator is
-       first checked on the axis probes (InputError when it does not fit).
+       0.0, no evaluation).  Stated degrees were checked when the problem was built.
     3. Anything else (an opaque f or a g of no degree): box Gauss-Legendre
        with an automatic radius; the initial radius puts the weight's
        boundary exponent at 40 when g has a degree and a positive sphere minimum.
@@ -282,7 +273,6 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
             return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
     k, d_g = problem.f_degree, problem.g_degree
     if d_g is not None and (k is not None or isinstance(problem.f, MultiPoly)):
-        _check_stated_degrees(problem)
         pieces = [(k, problem.f)] if k is not None else problem.f.homogeneous_components()
         parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec) for j, f_j in pieces]
         return IntegralEstimate(

@@ -4,7 +4,7 @@ Thin wrappers over ``math.gamma`` and ``math.lgamma`` that reject
 nonpositive arguments: every caller in this package has a strictly
 positive argument, so no reflection path is offered.  Also the
 log-space kernel y^p * C / Gamma(1 + p) shared by the closed forms of v,
-and the overflow guard the log-space results share.
+and the overflow guard and power-of-two split the log-space results share.
 """
 
 import math
@@ -53,3 +53,17 @@ def exp_in_range(log_value: float, what: str) -> float:
         raise EvaluationError(
             f"{what} = exp({log_value}) overflows double precision"
         ) from None
+
+
+def frexp_exp(log_value: float) -> tuple[float, int]:
+    """(m, e) with m * 2^e = exp(log_value) and 0.5 <= m < 1, for any finite log_value:
+    frexp(exp(log_value)) where that is a normal double, else after a shift by k * ln 2."""
+    try:
+        value = math.exp(log_value)
+        if value >= 2.0**-1022:
+            return math.frexp(value)
+    except OverflowError:
+        pass
+    shift = round(log_value / math.log(2.0))
+    mantissa, power = math.frexp(math.exp(log_value - shift * math.log(2.0)))
+    return mantissa, power + shift

@@ -292,8 +292,13 @@ X400 = dict(
         (X400, ["integrate"], 0),
         # ... but v(y) near the transform's peak at y ~ 400 does.
         (X400, ["laplace-check"], 3),
+        # The direct Monte Carlo box (2e200)^2 has no double volume.
+        (dict(DISC, g={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 1.0, "exps": [0, 2]},
+                                           {"coef": 1.0, "exps": [4, 0]}]},
+              quadrature={"sample_count": 1000, "box_radius": 1e200}), ["integrate"], 3),
     ],
-    ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check"],
+    ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
+         "mc-box-volume"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)

@@ -208,6 +208,44 @@ def test_gaussian_quadratic_rejects_bad_matrices():
         integrate_gaussian_quadratic(f, np.eye(2), -1.0, spec)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [MultiPoly(3, {(2, 0, 2): 1.0}), MultiPoly(1, {(2,): 1.0}), MultiPoly.constant(3, 1.0)],
+    ids=["x1sq-x3sq", "1d", "constant-3d"],
+)
+def test_gaussian_quadratic_refuses_f_of_another_dim(f, monkeypatch):
+    formed = []
+    monkeypatch.setattr(cubature, "_gaussian_moments", lambda *args: formed.append(args))
+    with pytest.raises(InputError, match="dim"):
+        integrate_gaussian_quadratic(f, np.eye(2), 1.0, GAUSS_SPEC)
+    assert formed == []
+
+
+@pytest.mark.parametrize("lam", [1e100, 1e-100])
+def test_gaussian_quadratic_opaque_scale_stays_in_range(lam):
+    # The integral of exp(-lam |x|^2) over R^8 is (pi / lam)^4: 9.7e-399
+    # rounds to 0, and 9.7e401 is past the largest double.
+    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=4)
+    f = lambda p: np.ones(p.shape[0])
+    if lam > 1:
+        assert integrate_gaussian_quadratic(f, np.eye(8), lam, spec).value == 0.0
+    else:
+        with pytest.raises(EvaluationError, match="overflows"):
+            integrate_gaussian_quadratic(f, np.eye(8), lam, spec)
+
+
+def test_gaussian_moments_of_a_value_whose_scale_leaves_the_double_range():
+    # sqrt(det Q) = 1e393 and E[x1^100] = 99!! * (5e5)^50 are each past the
+    # double range; v = 1.7435e-5 is inside it.
+    dim = 100
+    a = [1e-6] + [1e8] * (dim - 1)
+    f = MultiPoly.monomial(dim, (100,) + (0,) * (dim - 1))
+    est = integrate_gaussian_quadratic(f, np.diag(a), 1.0, GAUSS_SPEC)
+    exact = separable_power_integral(f.terms, a, 1.0, 2)
+    assert exact == pytest.approx(1.7435e-5, rel=1e-4)
+    assert abs(est.value - exact) <= est.error_estimate
+
+
 def test_gaussian_quadratic_consistent_with_box():
     # Random PD forms and low-degree polynomial integrands: the two
     # deterministic engines must agree.
@@ -279,6 +317,14 @@ def test_monte_carlo_input_errors(disc_g, one_2d):
         monte_carlo_sublevel(one_2d, disc_g, 2, -1.0, 1.0, MC_SPEC)
     with pytest.raises(InputError):
         monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, QuadratureSpec(engine="box-gauss-legendre"))
+
+
+def test_monte_carlo_refuses_a_box_volume_past_the_double_range(disc_g, one_2d, monkeypatch):
+    draws = []
+    monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args))
+    with pytest.raises(EvaluationError, match="volume"):
+        monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1e200, MC_SPEC)
+    assert draws == []
 
 
 def test_sphere_minimum_disc(disc_g):

@@ -262,10 +262,50 @@ def test_misstated_degree_is_refused_before_any_pass(monkeypatch):
         return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
 
     monkeypatch.setattr(duality, "integrate_polar", None)
-    problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), g_cubed, f_degree=0, g_degree=2)
     with pytest.raises(InputError):
-        dual_integral(problem, 1.0, SPEC)
+        SublevelProblem(2, lambda p: np.ones(p.shape[0]), g_cubed, f_degree=0, g_degree=2)
     assert shapes == [4, 4]
+
+
+def _norm_squared(p):
+    return p[:, 0] ** 2 + p[:, 1] ** 2
+
+
+def test_opaque_f_over_a_quadratic_form_is_priced_only_at_its_degree(disc_g):
+    # Stated as degree 0, f = |x|^2 over the unit disc took the Gaussian
+    # route unchecked and gave pi for v(1) = pi / 2 under a 3e-14 certificate.
+    with pytest.raises(InputError, match="does not scale with its stated degree"):
+        SublevelProblem(2, _norm_squared, disc_g, f_degree=0)
+    cert = v_dual_homogeneous(SublevelProblem(2, _norm_squared, disc_g, f_degree=2), 1.0, SPEC)
+    assert cert.method == "dual-gaussian"
+    assert cert.v_value == pytest.approx(math.pi / 2.0, rel=1e-13)
+
+
+def test_misstated_g_degree_is_refused_on_the_box_route():
+    # An opaque f of no degree keeps this problem on the box, where a wrong
+    # g_degree only skewed the starting radius.
+    with pytest.raises(InputError, match="does not scale with its stated degree"):
+        SublevelProblem(
+            2, lambda p: np.ones(p.shape[0]), lambda p: _norm_squared(p) ** 1.5, g_degree=2
+        )
+
+
+def test_stated_degree_is_probed_once_at_construction():
+    # The probe's first call is g at the doubled axis points 2 * (+-e_j).
+    doubled = np.vstack((2.0 * np.eye(2), -2.0 * np.eye(2)))
+    probes = []
+
+    def g_cubed(p):
+        if p.shape == doubled.shape and np.array_equal(p, doubled):
+            probes.append(p)
+        return _norm_squared(p) ** 1.5
+
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), g_cubed, g_degree=3)
+    assert len(probes) == 1
+    lam = find_lambda_for_target(problem, 1.0, (1e-3, 1e3), SPEC)
+    exact = (2.0 * math.pi * math.gamma(2.0 / 3.0) / 3.0) ** 1.5
+    assert lam == pytest.approx(exact, rel=1e-8)
+    assert len(probes) == 1
 
 
 def test_homogeneous_polynomials_never_reach_the_box(quartic_g, monkeypatch):

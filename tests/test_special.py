@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lapdual import InputError, gamma, log_gamma
+from lapdual.special import frexp_exp
 
 
 def test_gamma_at_one():
@@ -69,3 +70,12 @@ def test_overflow_is_reported():
         gamma(math.inf)
     # log_gamma keeps working far beyond the gamma overflow point.
     assert math.isfinite(log_gamma(1e6))
+
+
+@pytest.mark.parametrize("log_value", [0.0, 1.0, -700.0, 709.7, -708.3, -708.5, -745.2, 709.8, 1e4, -1e4])
+def test_frexp_exp_splits_exp_of_any_finite_log(log_value):
+    mantissa, power = frexp_exp(log_value)
+    assert 0.5 <= mantissa < 1.0
+    if -708.3 <= log_value <= 709.7:  # exp is a normal double: bit for bit
+        assert (mantissa, power) == math.frexp(math.exp(log_value))
+    assert math.log(mantissa) + power * math.log(2.0) == pytest.approx(log_value, rel=1e-15, abs=1e-15)
