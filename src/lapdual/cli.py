@@ -92,8 +92,8 @@ def _fig1_problem(args) -> ProblemFile:
         y_values=(1.0,),
         single_y=True,
         quadrature=QuadratureSpec(nodes_per_axis=args.nodes, sample_count=args.samples),
-        f=MultiPoly.constant(2, 1.0),
-        g=FIG1_QUARTIC if args.variant == "quartic" else FIG1_SEXTIC,
+        problem=SublevelProblem(2, MultiPoly.constant(2, 1.0),
+                                FIG1_QUARTIC if args.variant == "quartic" else FIG1_SEXTIC),
     )
 
 
@@ -107,7 +107,7 @@ def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     """v(y) and one certificate per dualized piece: a homogeneous
     component of f in poly mode, an alpha term in simplex mode."""
     if pf.mode == "poly":
-        return v_polynomial(SublevelProblem(pf.dim, pf.f, pf.g), y, spec)
+        return v_polynomial(pf.problem, y, spec)
     certs = [
         DualCertificate(
             y,
@@ -125,20 +125,30 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     """Monte Carlo and box-indicator estimates of v(y) over one enclosing box."""
     if pf.mode == "simplex":
         terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
+        # The simplex at level y fills a corner of [0, y]^d: both estimates
+        # sample [-y/2, y/2]^d, with the evaluators shifted onto [0, y]^d.
+        radius = 0.5 * y
 
         def f(pts):
-            total = np.zeros(np.asarray(pts).shape[0])
+            pts = pts + radius
+            total = np.zeros(pts.shape[0])
             for coef, ev in terms:
                 total = total + coef * ev(pts)
             return total
 
-        g, radius = simplex_gauge, float(y)  # the simplex at level y sits inside [0, y]^d
+        def g(pts):  # the gauge is linear: no shifted copy of every point
+            return simplex_gauge(pts) + pf.dim * radius
+
     else:
-        f, g, radius = pf.f, pf.g, enclosing_radius(pf.g, y, spec)
+        f, g, radius = pf.problem.f, pf.problem.g, enclosing_radius(pf.problem.g, y, spec)
     mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO))
 
     def indicator_integrand(pts):
-        return np.asarray(f(pts), dtype=float) * (np.asarray(g(pts), dtype=float) <= y)
+        inside = np.asarray(g(pts), dtype=float) <= y
+        f_inside = f(pts[inside])  # f only where it counts
+        vals = np.zeros(pts.shape[0])
+        vals[inside] = f_inside
+        return vals
 
     n = min(spec.nodes_per_axis, round(MAX_TENSOR_POINTS ** (1.0 / pf.dim)))
     while n ** pf.dim > MAX_TENSOR_POINTS:  # the most nodes per axis the box rule takes
@@ -174,7 +184,7 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
         }
         return doc, header, [c.csv_row() for c in certs]
 
-    problem = SublevelProblem(pf.dim, pf.f, pf.g)
+    problem = pf.problem
     doc = {"mode": "poly", "y": y}
     certs = []
     if problem.g_degree is not None:
@@ -196,7 +206,7 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
             ones = MultiPoly.constant(pf.dim, 1.0)
             vol, _ = v_polynomial(replace(problem, f=ones, f_degree=0.0), y, spec)
             shifted, _ = v_polynomial(
-                replace(problem, f=pf.f - ones * pf.tau, f_degree=None), y, spec
+                replace(problem, f=problem.f - ones * pf.tau, f_degree=None), y, spec
             )
             doc["tau_decomposition"] = {
                 "tau": pf.tau,
@@ -218,10 +228,8 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode == "simplex":
         if len(pf.simplex_poly.terms) != 1:
             raise InputError("sweep in simplex mode supports a single alpha term")
-    else:
-        problem = SublevelProblem(pf.dim, pf.f, pf.g)
-        if problem.f_degree is None or problem.g_degree is None:
-            raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
+    elif pf.problem.f_degree is None or pf.problem.g_degree is None:
+        raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
     rows = []
     for y in pf.y_values:
         value, certs = _certificates(pf, spec, y)
@@ -253,7 +261,7 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             return sum(t.coef * simplex_laplace_of_v(t.alpha, lam) for t in terms)
 
     else:
-        problem = SublevelProblem(pf.dim, pf.f, pf.g)
+        problem = pf.problem
         if problem.f_degree is None or problem.g_degree is None:
             raise InputError(
                 "laplace-check needs a closed-form v: homogeneous f and g, or simplex mode"
@@ -279,7 +287,7 @@ def cmd_mvt(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode != "poly":
         raise InputError("mvt requires polynomial mode")
     y = _single_y(pf, "mvt requires a single \"y\"")
-    result = mean_value_point(SublevelProblem(pf.dim, pf.f, pf.g), y, spec)
+    result = mean_value_point(pf.problem, y, spec)
     doc = {
         "point": list(result.point),
         "f_at_point": result.f_at_point,
@@ -300,8 +308,7 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
     if pf.mode != "poly":
         raise InputError("find-lambda requires polynomial mode")
     y = _single_y(pf, 'find-lambda requires a single "y" (the level the target belongs to)')
-    problem = SublevelProblem(pf.dim, pf.f, pf.g)
-    lam, phi = _find_lambda(problem, args.target, (args.bracket_lo, args.bracket_hi), spec)
+    lam, phi = _find_lambda(pf.problem, args.target, (args.bracket_lo, args.bracket_hi), spec)
     cert = DualCertificate(y, lam, phi, METHOD_ROOT_FOUND, abs(phi - args.target))
     doc = {
         "lambda": lam,
@@ -315,7 +322,7 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
 
 def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
     t0 = time.perf_counter()
-    cert = v_dual_homogeneous(SublevelProblem(2, pf.f, pf.g), 1.0, spec)
+    cert = v_dual_homogeneous(pf.problem, 1.0, spec)
     t1 = time.perf_counter()
     mc_est, box_est = _direct_estimates(pf, spec, 1.0)
     t2 = time.perf_counter()

@@ -60,7 +60,7 @@ _MC_CHUNK = 1 << 19
 _MAX_ENLARGEMENTS = 8
 
 # Node-doubling passes allowed while converging resolution (the box engine
-# at its initial radius, the polar engine on the sphere).
+# at its initial radius, the polar engine on the sphere, Gauss-Hermite).
 _MAX_REFINEMENTS = 6
 
 # Largest pass of the polar engine (1024 nodes per angle at d = 3, 32 at
@@ -87,7 +87,8 @@ class QuadratureSpec:
     case the box engine doubles the radius from an initial guess until
     two successive estimates agree to ``rel_tol`` relatively.  Dual
     integrals always use "auto"; a numeric value is the direct
-    estimates' box around {g <= y} when g is not homogeneous.
+    estimates' box around {g <= y} when g is not homogeneous.  Every
+    setting is checked here, and an integer one is a plain int, not a bool.
     """
 
     engine: str = ENGINE_BOX
@@ -100,11 +101,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.engine not in _ENGINES:
             raise InputError(f"unknown engine {self.engine!r}; expected one of {_ENGINES}")
-        if not isinstance(self.nodes_per_axis, int) or self.nodes_per_axis < 1:
+        if type(self.nodes_per_axis) is not int or self.nodes_per_axis < 1:
             raise InputError(f"nodes_per_axis must be a positive integer, got {self.nodes_per_axis!r}")
-        if not isinstance(self.sample_count, int) or self.sample_count < 1:
+        if type(self.sample_count) is not int or self.sample_count < 1:
             raise InputError(f"sample_count must be a positive integer, got {self.sample_count!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not (isinstance(self.rel_tol, (int, float)) and self.rel_tol > 0):
             raise InputError(f"rel_tol must be positive, got {self.rel_tol!r}")
@@ -128,9 +129,10 @@ class IntegralEstimate:
 
     ``error_estimate`` is the engine's own bound on the error of
     ``value``: rel_tol * max(|value|, magnitude) for the box and polar
-    engines, a rounding bound for the Gaussian-weight rule (1e-14 * |value|
-    for an opaque f), the standard error for Monte Carlo, and None for one
-    box pass at a numeric ``box_radius``, which tests nothing.
+    engines and for Gauss-Hermite on an opaque f, a rounding bound for
+    the exact Gaussian moments of a polynomial f, the standard error for
+    Monte Carlo, and None for one box pass at a numeric ``box_radius``,
+    which tests nothing.
     """
 
     value: float
@@ -328,6 +330,13 @@ def _doubling(run, schedule, cap, rel_tol, what, hint, prev=None):
     )
 
 
+def _two_pass_start(n, fits):
+    """n halved until the passes at n and 2n both fit (``fits(2n)``), or 1."""
+    while n > 1 and not fits(2 * n):
+        n //= 2
+    return n
+
+
 def _box_estimate(phi, dim, radius, nodes_per_axis):
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
     return _tensor_apply(phi, [(radius * base_nodes, radius * base_weights)] * dim)
@@ -499,8 +508,8 @@ def integrate_polar(
         raise InputError(f"dim must be a positive integer, got {dim!r}")
     if not (k >= 0 and d_g > 0):
         raise InputError(f"degrees must satisfy k >= 0 and d_g > 0, got k={k!r}, d_g={d_g!r}")
-    if not lam > 0:
-        raise InputError(f"lam must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lam must be finite and positive, got {lam!r}")
     p = (dim + k) / d_g
 
     def h(pts):
@@ -522,9 +531,7 @@ def integrate_polar(
         # polar rules skip the poles and cos(pi/2) != 0 in floating point.
         h(np.vstack((np.eye(dim), -np.eye(dim))))
         size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
-        n = spec.nodes_per_axis
-        while n > 1 and size(2 * n) > _MAX_SPHERE_POINTS:  # start where two passes fit
-            n //= 2
+        n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
         schedule = [(size(n << i), (n << i,)) for i in range(_MAX_REFINEMENTS + 1)]
         value, magnitude, effort, _ = _doubling(
             partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
@@ -589,9 +596,13 @@ def integrate_gaussian_quadratic(
     It is pi^(d/2) / (lam^(d/2) sqrt(det Q)) * E[f(x)], x ~ N(0, (2 lam Q)^(-1)).
     A MultiPoly f is exact: Isserlis' moments, InputError (its dim is not Q's) or
     EffortError (its terms' closures, each counted in full, sum past
-    _MAX_GAUSSIAN_MOMENTS) before any is formed.  An opaque f takes tensor Gauss-Hermite
-    in u = sqrt(lam) S x, Q = S'S, at min(``nodes_per_axis``, MAX_HERMITE_NODES) per axis.
-    A v below the double range is 0.0; one past it raises EvaluationError.
+    _MAX_GAUSSIAN_MOMENTS) before any is formed; its error estimate is a rounding
+    bound.  An opaque f takes tensor Gauss-Hermite in u = sqrt(lam) S x, Q = S'S, with
+    nodes per axis doubling until two passes agree as in ``integrate_polar``: they start
+    at min(``nodes_per_axis``, MAX_HERMITE_NODES), halved until twice that fits too, and
+    none exceeds MAX_HERMITE_NODES or MAX_TENSOR_POINTS points; its error estimate is
+    ``spec.rel_tol`` * max(|value|, magnitude).  A v below the double range is 0.0;
+    one past it raises EvaluationError.
 
     Parameters
     ----------
@@ -608,8 +619,8 @@ def integrate_gaussian_quadratic(
         raise InputError(
             f"integrate_gaussian_quadratic requires engine {ENGINE_GAUSSIAN!r}, got {spec.engine!r}"
         )
-    if not lam > 0:
-        raise InputError(f"lam must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lam must be finite and positive, got {lam!r}")
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise InputError(f"Q must be a square matrix, got shape {Q.shape}")
@@ -641,15 +652,29 @@ def integrate_gaussian_quadratic(
         # Cholesky factor and det Q.  max(|v|, magnitude) keeps a cancelling f honest.
         diag = np.sqrt(np.diag(Q))
         kappa = float(np.linalg.cond(Q / np.outer(diag, diag)))
-        rounding = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
+        rel_error = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
         effort = len(moments)
     else:
-        nodes, weights = gauss_hermite_rule(min(spec.nodes_per_axis, MAX_HERMITE_NODES))
-        raw, raw_magnitude, effort = _tensor_apply(
-            lambda u_pts: np.asarray(f(u_pts @ transform.T), dtype=float), [(nodes, weights)] * dim
+        def hermite_pass(n):
+            return _tensor_apply(
+                lambda u_pts: np.asarray(f(u_pts @ transform.T), dtype=float),
+                [gauss_hermite_rule(n)] * dim,
+            )
+
+        n = _two_pass_start(
+            min(spec.nodes_per_axis, MAX_HERMITE_NODES),
+            lambda m: m <= MAX_HERMITE_NODES and m**dim <= MAX_TENSOR_POINTS,
+        )
+        schedule = [
+            ((n << i) ** dim, (n << i,))
+            for i in range(_MAX_REFINEMENTS + 1) if n << i <= MAX_HERMITE_NODES
+        ]
+        raw, raw_magnitude, effort, _ = _doubling(
+            hermite_pass, schedule, MAX_TENSOR_POINTS, spec.rel_tol,
+            "the Gauss-Hermite rule", "f may be too rough for a polynomial rule",
         )
         # The Hermite weights already carry pi^(d/2).
-        parts, rounding = [(raw, raw_magnitude, 0)], None
+        parts, rel_error = [(raw, raw_magnitude, 0)], spec.rel_tol
         log_scale -= dim / 2.0 * math.log(math.pi)
     scale, power = frexp_exp(log_scale)
     try:
@@ -657,7 +682,7 @@ def integrate_gaussian_quadratic(
         magnitude = scale * math.fsum(math.ldexp(m, s + power) for _, m, s in parts)
     except OverflowError:
         raise EvaluationError("the Gaussian-weight integral overflows double precision") from None
-    error = abs(value) * 1e-14 if rounding is None else max(abs(value), magnitude) * rounding
+    error = max(abs(value), magnitude) * rel_error
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, None, magnitude, error)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -54,7 +54,7 @@ from .cubature import (
     integrate_polar,
     sphere_minimum,
 )
-from .errors import BracketError, EffortError, EvaluationNoiseError, InputError
+from .errors import BracketError, EffortError, EvaluationError, EvaluationNoiseError, InputError
 from .polyalg import MultiPoly
 from .special import log_gamma, power_over_gamma
 
@@ -103,7 +103,11 @@ class SublevelProblem:
     finite real number with f_degree >= 0 and g_degree >= 1; a constant
     g has no degree (None, never 0).  g is assumed nonnegative with
     compact sublevel sets and is checked opportunistically at the points
-    the engines touch.
+    the engines touch.  ``f_pieces`` (derived; not in ==, hash or repr) is
+    the one split of f every dual reads, its homogeneous pieces (k, f_k)
+    ascending in k: ((f_degree, f),) when f has a degree, counted or stated;
+    the components of any other MultiPoly (() for zero); None for an opaque
+    f with no degree.
     """
 
     dim: int
@@ -111,6 +115,7 @@ class SublevelProblem:
     g: MultiPoly | Callable[[np.ndarray], np.ndarray]
     f_degree: float | None = None
     g_degree: float | None = None
+    f_pieces: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -149,6 +154,9 @@ class SublevelProblem:
             if name == "g" and found == 0:
                 found = None  # a constant g has no sublevel structure to scale
             object.__setattr__(self, f"{name}_degree", found)
+        f, k = self.f, self.f_degree
+        pieces = tuple(f.homogeneous_components()) if k is None and isinstance(f, MultiPoly) else None
+        object.__setattr__(self, "f_pieces", ((k, f),) if k is not None else pieces)
 
 
 @dataclass(frozen=True)
@@ -249,11 +257,11 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     in this order:
 
     1. g a positive-definite quadratic form: the Gaussian-weight rule.
-    2. ``problem.g_degree`` known, and f of known degree or a MultiPoly,
-       in any dim: the polar engine, one integral over the unit sphere; a
-       MultiPoly f of no single degree is summed over its homogeneous
-       components in ascending degree by ``math.fsum`` (a zero f: exactly
-       0.0, no evaluation).  Stated degrees were checked when the problem was built.
+    2. ``problem.g_degree`` known, and ``problem.f_pieces`` too, in any
+       dim: the polar engine, one integral over the unit sphere per piece
+       of f, summed in ascending degree by ``math.fsum`` (a zero f:
+       exactly 0.0, no evaluation).  Stated degrees were checked when the
+       problem was built.
     3. Anything else (an opaque f or a g of no degree): box Gauss-Legendre
        with an automatic radius; the initial radius puts the weight's
        boundary exponent at 40 when g has a degree and a positive sphere minimum.
@@ -263,17 +271,16 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     polar and box engines touch.  The result's ``error_estimate`` is the
     chosen engine's own; certificates and the root search read it.
     """
-    if not lam > 0:
-        raise InputError(f"lam must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise InputError(f"lam must be finite and positive, got {lam!r}")
     g_eval = _checked_g(problem)
     if isinstance(problem.g, MultiPoly):
         Q = _quadratic_form_matrix(problem.g)
         if Q is not None:
             gaussian_spec = replace(spec, engine=ENGINE_GAUSSIAN)
             return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
-    k, d_g = problem.f_degree, problem.g_degree
-    if d_g is not None and (k is not None or isinstance(problem.f, MultiPoly)):
-        pieces = [(k, problem.f)] if k is not None else problem.f.homogeneous_components()
+    d_g, pieces = problem.g_degree, problem.f_pieces
+    if d_g is not None and pieces is not None:
         parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec) for j, f_j in pieces]
         return IntegralEstimate(
             math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
@@ -333,21 +340,22 @@ def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec)
 def v_polynomial(
     problem: SublevelProblem, y: float, spec: QuadratureSpec
 ) -> tuple[float, list[DualCertificate]]:
-    """v(y) for polynomial f (any sign) over homogeneous g.
+    """v(y) for f of any sign over homogeneous g, one piece of f at a time.
 
-    Decomposes f into homogeneous components f_k and dualizes each with
-    its own lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y; the
-    value is the ascending-in-k sum of the component integrals, with
-    one certificate per component.
+    Dualizes each of ``problem.f_pieces`` (k, f_k) with its own
+    lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y and returns the
+    ascending-in-k sum, with one certificate per piece.  An f with a degree,
+    opaque with a stated one included, is one piece: the problem as it stands.
     """
-    if not isinstance(problem.f, MultiPoly):
-        raise InputError("v_polynomial requires a polynomial f")
+    if problem.f_pieces is None:
+        raise InputError("v_polynomial requires a polynomial f or a stated f_degree")
     if problem.g_degree is None:
         raise InputError("v_polynomial requires g positively homogeneous of degree >= 1")
     certificates = []
     total = 0.0
-    for k, f_k in problem.f.homogeneous_components():
-        cert = v_dual_homogeneous(replace(problem, f=f_k, f_degree=k), y, spec)
+    for k, f_k in problem.f_pieces:
+        piece = problem if problem.f_degree is not None else replace(problem, f=f_k, f_degree=k)
+        cert = v_dual_homogeneous(piece, y, spec)
         certificates.append(cert)
         total += cert.v_value
     return total, certificates
@@ -356,10 +364,21 @@ def v_polynomial(
 def laplace_of_v(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> float:
     """Laplace transform of v at lam:
     L_v(lam) = (1/lam) * integral of f * exp(-lam * g) over R^d.
+
+    EvaluationError when L_v(lam) is past the double range.
     """
-    if not lam > 0:
-        raise InputError(f"lam must be positive, got {lam!r}")
-    return dual_integral(problem, lam, spec).value / lam
+    return _transform_sum([dual_integral(problem, lam, spec).value / lam], lam)
+
+
+def _transform_sum(terms, lam: float) -> float:
+    """math.fsum of a Laplace transform's terms; EvaluationError past the double range."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise EvaluationError(f"the Laplace transform of v at lam = {lam} is past the double range")
+    return total
 
 
 def find_lambda_for_target(
@@ -411,8 +430,8 @@ def _find_lambda(
 ) -> tuple[float, float]:
     """find_lambda_for_target's search; returns (lam, phi(lam))."""
     lo, hi = bracket
-    if not (0 < lo < hi):
-        raise InputError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    if not (0 < lo < hi < math.inf):
+        raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     if not target > 0:
         raise InputError(f"target must be positive, got {target!r}")
     u_lo, u_hi = math.log(lo), math.log(hi)
@@ -523,7 +542,8 @@ def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) 
     tail term v(Y) e^(-lam Y) / lam for the remainder beyond Y.  Y starts
     at 40/lam and doubles, adding the panel [Y, 2Y], while that tail term
     is not negligible against the sum, so Y follows the growth of v.
-    EffortError if it is still not negligible after 64 doublings.
+    EffortError if it is still not negligible after 64 doublings, and
+    EvaluationError once the sum is past the double range.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
@@ -540,8 +560,8 @@ def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) 
     pieces = [panel(lower, upper) for upper, lower in zip(uppers, uppers[1:] + [0.0])]
     for _ in range(_MAX_TAIL_DOUBLINGS):
         tail = v_fn(y_top) * math.exp(-lam * y_top) / lam
-        if abs(tail) <= sys.float_info.epsilon * abs(math.fsum(pieces)):
-            return math.fsum(pieces + [tail])
+        if abs(tail) <= sys.float_info.epsilon * abs(_transform_sum(pieces, lam)):
+            return _transform_sum(pieces + [tail], lam)
         pieces.append(panel(y_top, 2.0 * y_top))
         y_top *= 2.0
     raise EffortError(

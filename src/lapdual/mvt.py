@@ -25,7 +25,7 @@ from .cubature import (
     enclosing_radius,
     monte_carlo_sublevel,
 )
-from .duality import SublevelProblem, v_dual_homogeneous, v_polynomial
+from .duality import SublevelProblem, v_polynomial
 from .errors import ExtractionError, InputError
 from .polyalg import MultiPoly
 from . import rng
@@ -60,13 +60,9 @@ class MeanValueResult:
 
 
 def _pipeline_value(problem: SublevelProblem, y, spec, radius):
-    """v(y) through the preferred dual pipeline, Monte Carlo as fallback."""
-    if problem.g_degree is not None:
-        if isinstance(problem.f, MultiPoly):
-            value, _ = v_polynomial(problem, y, spec)
-            return value
-        if problem.f_degree is not None:
-            return v_dual_homogeneous(problem, y, spec).v_value
+    """v(y) through the dual pipeline, Monte Carlo when f has no pieces or g no degree."""
+    if problem.g_degree is not None and problem.f_pieces is not None:
+        return v_polynomial(problem, y, spec)[0]
     mc_spec = replace(spec, engine=ENGINE_MONTE_CARLO)
     return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, mc_spec).value
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .cubature import QuadratureSpec
+from .duality import SublevelProblem
 from .errors import InputError
 from .polyalg import MultiPoly
 from .simplex import GeneralizedPolynomial, SimplexMonomial
@@ -32,15 +33,15 @@ _ALPHA_TERM_KEYS = {"coef", "alpha"}
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A validated problem instance ready for the pipelines."""
+    """A validated problem instance ready for the pipelines: the SublevelProblem
+    built once from f and g in poly mode, the generalized polynomial in simplex mode."""
 
     mode: str  # "poly" or "simplex"
     dim: int
     y_values: tuple[float, ...]
     single_y: bool
     quadrature: QuadratureSpec
-    f: MultiPoly | None = None
-    g: MultiPoly | None = None
+    problem: SublevelProblem | None = None
     simplex_poly: GeneralizedPolynomial | None = None
     tau: float | None = None
 
@@ -78,13 +79,7 @@ def _parse_quadrature(doc) -> QuadratureSpec:
     unknown = set(block) - _QUAD_KEYS
     if unknown:
         raise InputError(f"unknown quadrature keys: {sorted(unknown)}")
-    kwargs = dict(block)
-    for int_key in ("nodes_per_axis", "sample_count", "seed"):
-        if int_key in kwargs:
-            v = kwargs[int_key]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f'"{int_key}" must be an integer, got {v!r}')
-    return QuadratureSpec(**kwargs)
+    return QuadratureSpec(**block)
 
 
 def _parse_simplex(doc) -> GeneralizedPolynomial:
@@ -140,10 +135,6 @@ def parse_problem(doc) -> ProblemFile:
         raise InputError(f'"dim" must be a positive integer, got {dim!r}')
     f = MultiPoly.from_json_dict(doc["f"])
     g = MultiPoly.from_json_dict(doc["g"])
-    if f.dim != dim or g.dim != dim:
-        raise InputError(
-            f'"f" and "g" dimensions ({f.dim}, {g.dim}) must match "dim" = {dim}'
-        )
     tau = None
     if "tau" in doc:
         tau = _require_number(doc["tau"], '"tau"')
@@ -153,8 +144,7 @@ def parse_problem(doc) -> ProblemFile:
         y_values=y_values,
         single_y=single_y,
         quadrature=quadrature,
-        f=f,
-        g=g,
+        problem=SublevelProblem(dim, f, g),
         tau=tau,
     )
 

@@ -6,6 +6,8 @@ import pytest
 from conftest import run_cli, separable_power_integral, write_problem
 from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, duality
 from lapdual.cli import main
+from lapdual.problemfile import parse_problem
+from lapdual.simplex import simplex_monomial_v
 
 DISC = {
     "dim": 2,
@@ -59,6 +61,20 @@ def test_integrate_five_dim_ball_at_the_default_spec(tmp_path, capsys):
     assert out["v_dual"] == pytest.approx(exact, rel=1e-13)
     assert abs(out["v_dual"] - out["v_direct_mc"]) <= 3.0 * out["mc_std_error"]
     assert out["v_direct_boxindicator"] == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize("alpha, samples", [((1.0, 0.5, 0.0), 100_000), ((0.5,) * 9, 1_000_000)])
+def test_simplex_direct_estimates_sample_the_corner_box(alpha, samples):
+    # The simplex at level y fills 1 / d! of [0, y]^d, but only 1 / (2^d d!)
+    # of [-y, y]^d: at d = 9 that box left every estimate 0.
+    pf = parse_problem({"simplex": True, "alpha_terms": [{"coef": 1.5, "alpha": list(alpha)}],
+                        "y": 1.0, "quadrature": {"sample_count": samples, "nodes_per_axis": 4}})
+    for y in (1.0, 5.0):
+        mc, box = cli._direct_estimates(pf, pf.quadrature, y)
+        exact = 1.5 * simplex_monomial_v(alpha, y)
+        assert mc.box_radius_used == 0.5 * y
+        assert abs(mc.value - exact) <= 3.0 * mc.std_error
+        assert box.value > 0.0
 
 
 def test_integrate_simplex_closed_form(tmp_path):
@@ -296,9 +312,17 @@ X400 = dict(
         (dict(DISC, g={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 1.0, "exps": [0, 2]},
                                            {"coef": 1.0, "exps": [4, 0]}]},
               quadrature={"sample_count": 1000, "box_radius": 1e200}), ["integrate"], 3),
+        # phi at an infinite bracket end is no number to search on.
+        (dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [38, 0]}]}),
+         ["find-lambda", "--target", "1", "--bracket-hi", "inf"], 2),
+        # The disc's transform pi / lam^2 is past the double range: at 1e-160
+        # the y-side sum overflows inside fsum, at 1e-300 each side is inf.
+        (DISC, ["laplace-check", "--lambdas", "1e-160"], 3),
+        (DISC, ["laplace-check", "--lambdas", "1e-300"], 3),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
-         "mc-box-volume"],
+         "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
+         "laplace-check-past-double-range"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)

@@ -95,11 +95,12 @@ def test_gauss_hermite_rule_size_cap():
     assert math.fsum(weights) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     with pytest.raises(InputError):
         gauss_hermite_rule(MAX_HERMITE_NODES + 1)
-    # The engine caps a larger request instead of failing.
+    # The engine caps a larger request instead of failing: its doubling
+    # passes start at 370 halved, so that twice the start fits, and end at 370.
     spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=512)
     est = integrate_gaussian_quadratic(lambda p: p[:, 0] ** 2, np.eye(1), 1.0, spec)
     assert est.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
-    assert est.effort == MAX_HERMITE_NODES
+    assert est.effort == MAX_HERMITE_NODES // 2 + MAX_HERMITE_NODES
 
 
 def test_integrate_box_constant_is_volume():
@@ -373,6 +374,37 @@ def test_quadrature_spec_validation():
         QuadratureSpec(seed=-1)
     with pytest.raises(InputError):
         QuadratureSpec(seed=2**64)
+
+
+def test_quadrature_spec_refuses_bools_for_integers():
+    # isinstance(True, int) holds, so the spec refuses a bool itself and no
+    # caller, the problem file included, has to.
+    for key, value in (("seed", True), ("nodes_per_axis", True), ("sample_count", False),
+                       ("sample_count", True)):
+        with pytest.raises(InputError, match="integer"):
+            QuadratureSpec(**{key: value})
+
+
+def test_gaussian_opaque_f_doubles_until_two_passes_agree():
+    spec = QuadratureSpec(engine="gaussian-quadratic")
+    # A kink at x1 = 0 keeps every Hermite pass off by more than rel_tol;
+    # one fixed pass at 64 nodes was 1.2e-2 off under a 1.8e-14 certificate.
+    with pytest.raises(EffortError, match="Gauss-Hermite"):
+        integrate_gaussian_quadratic(lambda p: np.abs(p[:, 0]), np.eye(2), 1.0, spec)
+    est = integrate_gaussian_quadratic(lambda p: np.exp(p[:, 0]), np.eye(2), 1.0, spec)
+    exact = math.pi * math.exp(0.25)
+    assert abs(est.value - exact) <= 1e-15 * exact
+    assert est.error_estimate == spec.rel_tol * max(abs(est.value), est.magnitude)
+    assert est.effort == 64**2 + 128**2
+
+
+def test_gaussian_opaque_f_starts_where_two_passes_fit():
+    # 64^5 points exceed the tensor cap, so the passes start at 8 nodes per
+    # axis, the most whose next pass (16^5 points) fits too.
+    spec = QuadratureSpec(engine="gaussian-quadratic")
+    est = integrate_gaussian_quadratic(lambda p: np.ones(p.shape[0]), np.eye(5), 1.0, spec)
+    assert est.value == pytest.approx(math.pi**2.5, rel=1e-14)
+    assert est.effort == 8**5 + 16**5
 
 
 def test_gaussian_rule_sized_to_f_degree():

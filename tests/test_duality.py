@@ -443,6 +443,46 @@ def test_v_polynomial_requires_polynomial_f(disc_g):
         v_polynomial(problem, 1.0, SPEC)
 
 
+def test_f_pieces_is_the_one_split_of_f(disc_g):
+    from dataclasses import replace
+
+    homogeneous = MultiPoly(2, {(2, 0): 1.0, (1, 1): -3.0})
+    (piece,) = SublevelProblem(2, homogeneous, disc_g).f_pieces
+    assert piece[0] == 2 and piece[1] is homogeneous
+    mixed = MultiPoly(2, {(0, 0): 2.0, (2, 0): 1.0, (1, 0): 3.0})
+    problem = SublevelProblem(2, mixed, disc_g)
+    assert problem.f_pieces == tuple(mixed.homogeneous_components())
+    assert [k for k, _ in problem.f_pieces] == [0, 1, 2]
+    assert SublevelProblem(2, MultiPoly.zero(2), disc_g).f_pieces == ()
+
+    def opaque(p):
+        return np.ones(p.shape[0])
+
+    assert SublevelProblem(2, opaque, disc_g, f_degree=0).f_pieces == ((0, opaque),)
+    assert SublevelProblem(2, opaque, disc_g).f_pieces is None
+    # Derived, so replace rebuilds it, and it takes no part in ==, hash or repr.
+    assert replace(problem, f=homogeneous).f_pieces == ((2, homogeneous),)
+    assert problem == SublevelProblem(2, mixed, disc_g)
+    assert hash(problem) == hash(SublevelProblem(2, mixed, disc_g))
+    assert "f_pieces" not in repr(problem)
+
+
+def test_v_polynomial_serves_an_opaque_f_of_stated_degree_as_one_piece(disc_g):
+    calls = []
+
+    def f(p):
+        calls.append(p.shape[0])
+        return np.ones(p.shape[0])
+
+    problem = SublevelProblem(2, f, disc_g, f_degree=0)
+    assert calls == [4, 4]  # the axis probe at 2 * (+-e_j), then at +-e_j
+    value, certs = v_polynomial(problem, 1.5, SPEC)
+    assert 4 not in calls[2:]  # the problem is dualized as it stands, not rebuilt
+    assert len(certs) == 1
+    assert value == v_dual_homogeneous(problem, 1.5, SPEC).v_value
+    assert value == pytest.approx(1.5 * math.pi, rel=1e-12)
+
+
 def test_polynomial_path_matches_componentwise_duals(disc_g):
     from dataclasses import replace
 
@@ -705,12 +745,15 @@ def test_gaussian_certificate_covers_ill_conditioned_q(r):
 
 
 def test_gaussian_certificate_for_opaque_f(disc_g):
-    # An opaque f carries no degree to bound the rule's rounding with.
+    # An opaque f carries no degree to bound the rule's rounding with, so
+    # its passes double until two agree, and the certificate is the agreement
+    # test's rel_tol * max(|v|, magnitude); f = 1 has magnitude v.
     problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), disc_g, f_degree=0)
     cert = v_dual_homogeneous(problem, 2.0, SPEC)
     assert cert.method == "dual-gaussian"
     assert cert.v_value == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert cert.error_estimate == abs(cert.v_value) * 1e-14
+    assert cert.error_estimate == SPEC.rel_tol * cert.v_value
+    assert abs(cert.v_value - 2.0 * math.pi) <= cert.error_estimate
 
 
 def test_box_refuses_a_schedule_without_two_passes_up_front():

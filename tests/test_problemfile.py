@@ -20,8 +20,8 @@ def test_parse_poly_mode():
     assert pf.mode == "poly"
     assert pf.dim == 2
     assert pf.single_y and pf.y_values == (1.0,)
-    assert pf.f == MultiPoly.constant(2, 1.0)
-    assert pf.g.homogeneity_degree() == 2
+    assert pf.problem.f == MultiPoly.constant(2, 1.0)
+    assert pf.problem.g.homogeneity_degree() == 2
     assert pf.quadrature.sample_count == 1000
     assert pf.quadrature.seed == 3
     assert pf.tau is None
