@@ -4,8 +4,7 @@ Subcommands: integrate, sweep, laplace-check, mvt, find-lambda,
 bench-fig1.  Exit codes: 0 success, 2 input/schema problem, 3 numerical
 engine failure.  All stdout output is a pure function of the command
 line and the input file: timings go to stderr, randomness is fully
-determined by the seed, and the --threads flag never changes results
-(engines are deterministic by construction).
+determined by the seed.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ import numpy as np
 from .cubature import (
     ENGINE_BOX,
     ENGINE_MONTE_CARLO,
-    MAX_TENSOR_POINTS,
     QuadratureSpec,
     enclosing_radius,
     integrate_box,
+    max_box_nodes,
     monte_carlo_sublevel,
 )
 from .duality import (
@@ -144,18 +143,21 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO))
 
     def indicator_integrand(pts):
-        inside = np.asarray(g(pts), dtype=float) <= y
+        g_vals = np.asarray(g(pts), dtype=float)
+        inside, on_level = g_vals <= y, g_vals == y
+        del g_vals  # f's evaluation is the peak of memory: hold only the masks
         f_inside = f(pts[inside])  # f only where it counts
         vals = np.zeros(pts.shape[0])
         vals[inside] = f_inside
+        # A node on the level set counts half: the symmetric rule puts whole
+        # rows of nodes on a flat boundary, such as the simplex's at d = 2.
+        vals[on_level] *= 0.5
         return vals
 
-    n = min(spec.nodes_per_axis, round(MAX_TENSOR_POINTS ** (1.0 / pf.dim)))
-    while n ** pf.dim > MAX_TENSOR_POINTS:  # the most nodes per axis the box rule takes
-        n -= 1
     box = integrate_box(
         indicator_integrand, pf.dim,
-        replace(spec, engine=ENGINE_BOX, box_radius=radius, nodes_per_axis=n),
+        replace(spec, engine=ENGINE_BOX, box_radius=radius,
+                nodes_per_axis=min(spec.nodes_per_axis, max_box_nodes(pf.dim))),
     )
     return mc, box
 
@@ -352,8 +354,6 @@ def _add_common(parser, *, with_input=True):
         parser.add_argument("--input", "-i", required=True, help="problem file (JSON)")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed override (unsigned 64-bit; default: problem file, then 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results never depend on it")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
                         help="relative tolerance override for adaptive engines")
     parser.add_argument("--output", choices=("csv", "json"), default=None,

@@ -56,16 +56,13 @@ MAX_TENSOR_POINTS = 1 << 24
 _TENSOR_CHUNK = 1 << 18
 _MC_CHUNK = 1 << 19
 
-# Box enlargements attempted before declaring the integral non-stabilizing.
-_MAX_ENLARGEMENTS = 8
+# Most nodes per axis in a box pass: an 8192-node rule takes about 0.5 s
+# to build, and in d = 1 nothing else bounds the enlargement.
+_MAX_BOX_NODES = 8192
 
-# Node-doubling passes allowed while converging resolution (the box engine
-# at its initial radius, the polar engine on the sphere, Gauss-Hermite).
-_MAX_REFINEMENTS = 6
-
-# Largest pass of the polar engine (1024 nodes per angle at d = 3, 32 at
-# d = 5).  A divergent sphere integrand (g vanishing on a ray between the
-# nodes) is refused in about a second.
+# Largest pass of the polar engine (2^21 nodes at d = 2, 1024 per angle at
+# d = 3, 32 at d = 5).  A divergent sphere integrand (g vanishing on a ray
+# between the nodes) is refused in about 2 s at d = 2, 1 s at d = 3.
 _MAX_SPHERE_POINTS = 1 << 21
 
 # Largest Gauss-Hermite rule numpy builds: past it the ratio of central to
@@ -150,32 +147,33 @@ class IntegralEstimate:
             raise InputError("std_error must be nonnegative")
 
 
+def _legendre_step(n: int, t: np.ndarray):
+    """P_n(t) by the three-term recurrence, and P_n'(t), elementwise."""
+    p_prev, p = np.ones_like(t), t
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+    return p, n * (t * p - p_prev) / (t * t - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _legendre_rule(n: int):
-    nodes = np.empty(n)
-    weights = np.empty(n)
+    # Asymptotic guesses for the nonnegative roots, then Newton on P_n for all
+    # of them at once, each until its own step is negligible: elementwise, the
+    # same operations in the same order as iterating one root at a time.
     m = (n + 1) // 2
-    for i in range(1, m + 1):
-        # Asymptotic root guess, then Newton on P_n.
-        t = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p_prev, p = 1.0, t
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-            dp = n * (t * p - p_prev) / (t * t - 1.0)
-            dt = -p / dp
-            t += dt
-            if abs(dt) <= 1e-15 * max(1.0, abs(t)):
-                break
-        p_prev, p = 1.0, t
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-        dp = n * (t * p - p_prev) / (t * t - 1.0)
-        w = 2.0 / ((1.0 - t * t) * dp * dp)
-        nodes[i - 1] = -t
-        nodes[n - i] = t
-        weights[i - 1] = w
-        weights[n - i] = w
+    t = np.array([math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, m + 1)])
+    active = np.arange(m)
+    for _ in range(100):
+        p, dp = _legendre_step(n, t[active])
+        dt = -p / dp
+        t[active] += dt
+        active = active[np.abs(dt) > 1e-15 * np.maximum(1.0, np.abs(t[active]))]
+        if active.size == 0:
+            break
+    _, dp = _legendre_step(n, t)
+    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    nodes = np.concatenate((-t, t[:n // 2][::-1]))
+    weights = np.concatenate((w, w[:n // 2][::-1]))
     if n % 2 == 1:
         nodes[n // 2] = 0.0
     nodes.setflags(write=False)
@@ -267,7 +265,8 @@ def _tensor_block(axes, lo, hi):
 def _tensor_apply(phi, axes):
     """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid
     of the per-axis rules ``axes`` (one (nodes, weights) pair per axis),
-    plus the number of points.
+    plus the number of points.  Each engine sizes its grids under its cap
+    before building them, so none here exceeds MAX_TENSOR_POINTS.
 
     The order is a contract, so every engine's value is a pure function
     of its rules: the points run in C order (last axis fastest) and are
@@ -276,13 +275,7 @@ def _tensor_apply(phi, axes):
     chunk's products w * phi, with w formed as in ``_tensor_block``; and
     the partials are added with ``math.fsum``.
     """
-    sizes = [nodes.size for nodes, _ in axes]
-    total_points = math.prod(sizes)
-    if total_points > MAX_TENSOR_POINTS:
-        grid = "x".join(map(str, sizes))
-        raise EffortError(
-            f"{grid} = {total_points} tensor nodes exceed the cap of {MAX_TENSOR_POINTS}"
-        )
+    total_points = math.prod(nodes.size for nodes, _ in axes)
     partials = []
     abs_partials = []
     for lo in range(0, total_points, _TENSOR_CHUNK):
@@ -300,32 +293,34 @@ def _tensor_apply(phi, axes):
     return math.fsum(partials), math.fsum(abs_partials), total_points
 
 
-def _doubling(run, schedule, cap, rel_tol, what, hint, prev=None):
-    """Runs ``run(*step)`` -> (value, magnitude, evaluations) over the
-    (points, step) pairs of ``schedule``, dropping passes over ``cap``
-    points, until two successive values agree: |cur - prev| <= rel_tol *
-    max(|cur|, magnitude), magnitude being the later pass's sum of
-    w * |integrand|, so that a cancelling integral converges too.  ``prev``
-    seeds the comparison; a schedule that cannot yield two values runs no pass.
-    Returns (value, magnitude, evaluations, step) of the agreeing pass,
-    the evaluations summed over all passes; else EffortError naming
-    ``what``, plus ``hint`` when passes ran and disagreed.
+def _doubling(run, n, points, cap, rel_tol, what, hint, prev=None):
+    """Runs ``run(m)`` -> (value, magnitude, evaluations) at m = n, 2n, 4n,
+    ... while ``points(m) <= cap``, until two successive values agree:
+    |cur - prev| <= rel_tol * max(|cur|, magnitude), magnitude being the
+    later pass's sum of w * |integrand|, so that a cancelling integral
+    converges too.  ``prev`` seeds the comparison; a schedule that cannot
+    yield two values runs no pass.  Returns (value, magnitude,
+    evaluations, m) of the agreeing pass, the evaluations summed over all
+    passes; else EffortError naming ``what``, plus ``hint`` when passes
+    ran and disagreed.
     """
-    steps = [step for points, step in schedule if points <= cap]
-    if len(steps) + (prev is not None) < 2:
+    sizes = []
+    while points(n << len(sizes)) <= cap:
+        sizes.append(n << len(sizes))
+    if len(sizes) + (prev is not None) < 2:
         raise EffortError(
-            f"{what}: only {len(steps)} of its passes fit under the cap of {cap} points, "
+            f"{what}: only {len(sizes)} passes fit under the cap of {cap} points, "
             "too few for two to agree; none run"
         )
     effort = 0
-    for step in steps:
-        cur, magnitude, used = run(*step)
+    for m in sizes:
+        cur, magnitude, used = run(m)
         effort += used
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), magnitude, 1e-300):
-            return cur, magnitude, effort, step
+            return cur, magnitude, effort, m
         prev = cur
     raise EffortError(
-        f"{what} ({hint}): no two of the {len(steps)} passes that fit under the cap of "
+        f"{what} ({hint}): no two of the {len(sizes)} passes that fit under the cap of "
         f"{cap} points agreed to rel_tol={rel_tol} ({effort} evaluations, last estimate {prev})"
     )
 
@@ -337,7 +332,18 @@ def _two_pass_start(n, fits):
     return n
 
 
+def max_box_nodes(dim: int) -> int:
+    """The most nodes per axis of a box pass in ``dim`` dimensions."""
+    n = min(_MAX_BOX_NODES, round(MAX_TENSOR_POINTS ** (1.0 / dim)))
+    while n**dim > MAX_TENSOR_POINTS:
+        n -= 1
+    return n
+
+
 def _box_estimate(phi, dim, radius, nodes_per_axis):
+    if nodes_per_axis > max_box_nodes(dim):  # before its rule is built
+        raise EffortError(f"a box pass in {dim} dimensions takes at most "
+                          f"{max_box_nodes(dim)} nodes per axis, got {nodes_per_axis}")
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
     return _tensor_apply(phi, [(radius * base_nodes, radius * base_weights)] * dim)
 
@@ -361,10 +367,12 @@ def integrate_box(
     that vanishes by cancellation converges too), so the enlargement
     comparison measures tail truncation rather than resolution loss.
     The radius that satisfied the test is reported in
-    ``box_radius_used``.  Refinement takes at most 6 doublings and
-    enlargement 8, none past MAX_TENSOR_POINTS, and refinement runs
-    only resolutions whose first enlargement fits under that cap too;
-    EffortError comes before any evaluation when fewer than two remain.
+    ``box_radius_used``.  Both loops double until the next pass would
+    exceed the cap: MAX_TENSOR_POINTS points, and at most _MAX_BOX_NODES
+    (8192) nodes per axis.  Refinement runs only resolutions whose first
+    enlargement fits under the cap too; EffortError comes before any
+    evaluation when fewer than two remain.  A numeric ``box_radius`` runs
+    one pass, refused with EffortError past ``max_box_nodes(dim)``.
 
     Parameters
     ----------
@@ -389,26 +397,21 @@ def integrate_box(
     radius = float(initial_radius) if initial_radius is not None else 1.0
     if not radius > 0:
         raise InputError(f"initial_radius must be positive, got {initial_radius!r}")
-    box_pass = partial(_box_estimate, phi, dim)
-    n = spec.nodes_per_axis
+    cap = min(MAX_TENSOR_POINTS, _MAX_BOX_NODES**dim)
     # A resolution whose first enlargement, at twice the nodes, exceeds the
     # cap could never be confirmed, so it is not run.
-    refine = [
-        ((n << i) ** dim, (radius, n << i))
-        for i in range(_MAX_REFINEMENTS + 1)
-        if (n << (i + 1)) ** dim <= MAX_TENSOR_POINTS
-    ]
-    value, _, effort, (radius, n) = _doubling(
-        box_pass, refine, MAX_TENSOR_POINTS, spec.rel_tol,
+    value, _, effort, n = _doubling(
+        partial(_box_estimate, phi, dim, radius), spec.nodes_per_axis,
+        lambda m: (2 * m) ** dim, cap, spec.rel_tol,
         f"the box rule at radius {radius}", "the integrand may be too rough",
     )
-    enlarge = [
-        ((n << i) ** dim, (radius * 2.0**i, n << i)) for i in range(1, _MAX_ENLARGEMENTS + 1)
-    ]
-    value, magnitude, used, (radius, _) = _doubling(
-        box_pass, enlarge, MAX_TENSOR_POINTS, spec.rel_tol,
+    # Enlargement holds the node density: twice the radius, twice the nodes.
+    value, magnitude, used, m = _doubling(
+        lambda m: _box_estimate(phi, dim, radius * (m // n), m), 2 * n,
+        lambda m: m**dim, cap, spec.rel_tol,
         f"box enlargement from radius {radius}", "the integral may diverge", value,
     )
+    radius *= m // n
     return IntegralEstimate(
         value, None, ENGINE_BOX, effort + used, radius, magnitude,
         spec.rel_tol * max(abs(value), magnitude),
@@ -487,9 +490,9 @@ def integrate_polar(
 
     Raises UnboundedSublevelError when g is not positive at a node (g
     vanishes on a ray, so its sublevel sets are unbounded),
-    EvaluationError on a non-finite value, and EffortError when the
-    passes do not agree within 6 doublings of at most 2^21 points each,
-    before any pass when fewer than two fit even from 1 node (dim >= 22).
+    EvaluationError on a non-finite value, and EffortError when no two
+    passes agree before the next would exceed 2^21 points, before any
+    pass when fewer than two fit even from 1 node (dim >= 22).
     dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
 
     Parameters
@@ -532,9 +535,8 @@ def integrate_polar(
         h(np.vstack((np.eye(dim), -np.eye(dim))))
         size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
         n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
-        schedule = [(size(n << i), (n << i,)) for i in range(_MAX_REFINEMENTS + 1)]
         value, magnitude, effort, _ = _doubling(
-            partial(_sphere_sum, h, dim), schedule, _MAX_SPHERE_POINTS, spec.rel_tol,
+            partial(_sphere_sum, h, dim), n, size, _MAX_SPHERE_POINTS, spec.rel_tol,
             "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
             "more nodes than the cap allows",
         )
@@ -661,16 +663,10 @@ def integrate_gaussian_quadratic(
                 [gauss_hermite_rule(n)] * dim,
             )
 
-        n = _two_pass_start(
-            min(spec.nodes_per_axis, MAX_HERMITE_NODES),
-            lambda m: m <= MAX_HERMITE_NODES and m**dim <= MAX_TENSOR_POINTS,
-        )
-        schedule = [
-            ((n << i) ** dim, (n << i,))
-            for i in range(_MAX_REFINEMENTS + 1) if n << i <= MAX_HERMITE_NODES
-        ]
+        cap = min(MAX_TENSOR_POINTS, MAX_HERMITE_NODES**dim)
+        n = _two_pass_start(min(spec.nodes_per_axis, MAX_HERMITE_NODES), lambda m: m**dim <= cap)
         raw, raw_magnitude, effort, _ = _doubling(
-            hermite_pass, schedule, MAX_TENSOR_POINTS, spec.rel_tol,
+            hermite_pass, n, lambda m: m**dim, cap, spec.rel_tol,
             "the Gauss-Hermite rule", "f may be too rough for a polynomial rule",
         )
         # The Hermite weights already carry pi^(d/2).

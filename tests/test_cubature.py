@@ -69,6 +69,42 @@ def test_gauss_legendre_polynomial_exactness_property():
             assert estimate == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
+def _legendre_root_by_root(n):
+    """The Gauss-Legendre rule by Newton's method on P_n, one root at a time
+    in Python floats: the iteration the rule must reproduce bit for bit."""
+    nodes, weights = np.empty(n), np.empty(n)
+    for i in range(1, (n + 1) // 2 + 1):
+        t = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, t
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+            dp = n * (t * p - p_prev) / (t * t - 1.0)
+            dt = -p / dp
+            t += dt
+            if abs(dt) <= 1e-15 * max(1.0, abs(t)):
+                break
+        p_prev, p = 1.0, t
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+        dp = n * (t * p - p_prev) / (t * t - 1.0)
+        nodes[i - 1], nodes[n - i] = -t, t
+        weights[i - 1] = weights[n - i] = 2.0 / ((1.0 - t * t) * dp * dp)
+    if n % 2 == 1:
+        nodes[n // 2] = 0.0
+    return nodes, weights
+
+
+def test_gauss_legendre_rule_is_the_root_by_root_iteration():
+    # All roots iterate at once in numpy; each must be the same double,
+    # down to the sign of zero, as when it iterates alone.
+    for n in [*range(1, 301), 511, 512, 1023, 1024, 2048]:
+        nodes, weights = gauss_legendre_rule(n)
+        ref_nodes, ref_weights = _legendre_root_by_root(n)
+        assert nodes.tobytes() == ref_nodes.tobytes(), n
+        assert weights.tobytes() == ref_weights.tobytes(), n
+
+
 def test_gauss_legendre_rejects_bad_n():
     with pytest.raises(InputError):
         gauss_legendre_rule(0)
@@ -682,11 +718,30 @@ def _counting(h, counts):
 
 def test_integrate_box_refinement_exhausted():
     # |x| has a kink at 0, so Gauss-Legendre converges only algebraically:
-    # six doublings from 4 nodes (passes of 4 ... 256 nodes) miss rel_tol.
+    # the passes of 4 ... 4096 nodes, the last whose 8192-node enlargement
+    # fits under the per-axis cap, miss rel_tol.
     counts = []
     with pytest.raises(EffortError):
         integrate_box(_counting(lambda p: np.abs(p[:, 0]), counts), 1, QuadratureSpec(nodes_per_axis=4))
-    assert sum(counts) == sum(4 << i for i in range(7))
+    assert sum(counts) == sum(4 << i for i in range(11))
+
+
+def test_one_dim_box_enlargement_stops_at_the_node_cap(monkeypatch):
+    # The dual of f = 1 over g = x1^2 with no stated degree at lam = 1e-2:
+    # from radius 1 the enlargement reaches 8192 nodes before two passes
+    # agree.  Nothing else bounds the nodes in d = 1, and past the cap each
+    # rule takes seconds to build, so the loop must stop there.
+    def capped_rule(n):
+        if n > 8192:
+            raise AssertionError(f"a {n}-node rule was requested")
+        return rule(n)
+
+    rule = cubature.gauss_legendre_rule
+    monkeypatch.setattr(cubature, "gauss_legendre_rule", capped_rule)
+    with pytest.raises(EffortError, match="cap of 8192 points"):
+        integrate_box(lambda p: np.exp(-1e-2 * p[:, 0] ** 2), 1, QuadratureSpec())
+    with pytest.raises(EffortError, match="at most 8192 nodes per axis"):
+        integrate_box(lambda p: np.ones(p.shape[0]), 1, QuadratureSpec(box_radius=1.0, nodes_per_axis=8193))
 
 
 def test_integrate_box_enlargement_over_the_cap():
@@ -720,6 +775,49 @@ def test_polar_sphere_cap_three_dim():
     with pytest.raises(EffortError):
         integrate_polar(MultiPoly.constant(3, 1.0), _counting(g, counts), 3, 0, 2, 1.0, QuadratureSpec())
     assert sum(counts) == 6 + sum((64 << i) * (128 << i) for i in range(5))
+
+
+def _rotated_fig1_quartic(c, angle=0.1234567):
+    """x^4 + y^4 + c x^2 y^2 in coordinates rotated by ``angle``; the default
+    puts its minimizers on the circle between the trapezoid nodes."""
+    q = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): c})
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return lambda p: q(p @ rot.T)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.1234567])
+@pytest.mark.parametrize("c", [-1.999, -1.9999, -1.99999])
+def test_polar_near_degenerate_fig1_quartic_within_its_certificate(c, angle):
+    # The sphere minimum (2 + c) / 4 goes to 0, so g^(-1/2) peaks ever more
+    # sharply: the passes double past 4096 nodes until two agree.
+    mpmath = pytest.importorskip("mpmath")
+    est = integrate_polar(
+        MultiPoly.constant(2, 1.0), _rotated_fig1_quartic(c, angle), 2, 0, 4, 1.0, QuadratureSpec()
+    )
+    with mpmath.workdps(30):
+        def g_on_circle(t):
+            x, y = mpmath.cos(t), mpmath.sin(t)
+            return x**4 + y**4 + mpmath.mpf(c) * x**2 * y**2
+
+        # A rotation leaves the integral over the whole circle unchanged;
+        # split at the unrotated minimizers, the odd multiples of pi/4.
+        pieces = [mpmath.pi * j / 4 for j in range(9)]
+        sphere = mpmath.quad(lambda t: g_on_circle(t) ** mpmath.mpf(-0.5), pieces)
+        exact = float(mpmath.gamma(0.5) / 4 * sphere)
+    assert abs(est.value - exact) <= est.error_estimate
+
+
+def test_polar_vanishing_ray_runs_to_the_sphere_cap():
+    # At c = -2 the rotated quartic vanishes on rays between the nodes, so
+    # no two passes agree: they double from 64 nodes to 2^21, the last
+    # under the cap.  The 4 extra points are the axis probe.
+    counts = []
+    with pytest.raises(EffortError, match="16 passes"):
+        integrate_polar(
+            MultiPoly.constant(2, 1.0), _counting(_rotated_fig1_quartic(-2.0), counts),
+            2, 0, 4, 1.0, QuadratureSpec(),
+        )
+    assert sum(counts) == 4 + sum(64 << i for i in range(16))
 
 
 def test_multipoly_overflow_is_an_evaluation_error():
