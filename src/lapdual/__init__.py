@@ -15,6 +15,7 @@ from .cubature import (
     IntegralEstimate,
     QuadratureSpec,
     auto_enclosing_radius,
+    box_pass,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
@@ -87,6 +88,7 @@ __all__ = [
     "SublevelProblem",
     "UnboundedSublevelError",
     "auto_enclosing_radius",
+    "box_pass",
     "dual_constant",
     "dual_integral",
     "final_value_check",

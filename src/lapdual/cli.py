@@ -19,13 +19,12 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .cubature import (
-    ENGINE_BOX,
-    ENGINE_MONTE_CARLO,
     QuadratureSpec,
+    box_pass,
     enclosing_radius,
-    integrate_box,
     max_box_nodes,
     monte_carlo_sublevel,
+    sublevel_integrand,
 )
 from .duality import (
     METHOD_CLOSED_FORM,
@@ -35,7 +34,6 @@ from .duality import (
     _find_lambda,
     dual_integral,
     lambda_y_for_order,
-    lambda_y_homogeneous,
     laplace_of_v,
     laplace_transform_by_quadrature,
     v_dual_homogeneous,
@@ -121,7 +119,8 @@ def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
 
 
 def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
-    """Monte Carlo and box-indicator estimates of v(y) over one enclosing box."""
+    """The Monte Carlo estimate of v(y) and the box-indicator value, one
+    box pass of ``sublevel_integrand``, over one enclosing box."""
     if pf.mode == "simplex":
         terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
         # The simplex at level y fills a corner of [0, y]^d: both estimates
@@ -140,25 +139,9 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
 
     else:
         f, g, radius = pf.problem.f, pf.problem.g, enclosing_radius(pf.problem.g, y, spec)
-    mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, replace(spec, engine=ENGINE_MONTE_CARLO))
-
-    def indicator_integrand(pts):
-        g_vals = np.asarray(g(pts), dtype=float)
-        inside, on_level = g_vals <= y, g_vals == y
-        del g_vals  # f's evaluation is the peak of memory: hold only the masks
-        f_inside = f(pts[inside])  # f only where it counts
-        vals = np.zeros(pts.shape[0])
-        vals[inside] = f_inside
-        # A node on the level set counts half: the symmetric rule puts whole
-        # rows of nodes on a flat boundary, such as the simplex's at d = 2.
-        vals[on_level] *= 0.5
-        return vals
-
-    box = integrate_box(
-        indicator_integrand, pf.dim,
-        replace(spec, engine=ENGINE_BOX, box_radius=radius,
-                nodes_per_axis=min(spec.nodes_per_axis, max_box_nodes(pf.dim))),
-    )
+    mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, spec)
+    box, _, _ = box_pass(sublevel_integrand(f, g, y), pf.dim, radius,
+                         min(spec.nodes_per_axis, max_box_nodes(pf.dim)))
     return mc, box
 
 
@@ -180,7 +163,7 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
             ],
             "v_direct_mc": mc.value,
             "mc_std_error": mc.std_error,
-            "v_direct_boxindicator": box.value,
+            "v_direct_boxindicator": box,
             "rel_diff_closed_vs_mc": _rel_diff(value, mc.value),
             "seed": spec.seed,
         }
@@ -193,16 +176,10 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
         value, certs = _certificates(pf, spec, y)
         closed = {}
         if problem.f_degree is not None:
-            base = dual_integral(problem, 1.0, spec)
-            closed["v_closed_form"] = v_closed = v_homogeneous_closed_form(problem, base.value, y)
-            certs.append(DualCertificate(
-                y,
-                lambda_y_homogeneous(pf.dim, problem.f_degree, problem.g_degree, y),
-                v_closed,
-                METHOD_CLOSED_FORM,
-                # v(y) is linear in the base integral, so its error scales alike.
-                v_homogeneous_closed_form(problem, base.error_estimate, y),
-            ))
+            # f has one degree, so its one piece is the problem itself, dualized
+            # at the explicit lambda_y: that is the closed form's one integral.
+            closed["v_closed_form"] = certs[0].v_value
+            certs.append(replace(certs[0], method=METHOD_CLOSED_FORM))
         doc.update(v_dual=value, certificates=[asdict(c) for c in certs], **closed)
         if pf.tau is not None:
             ones = MultiPoly.constant(pf.dim, 1.0)
@@ -219,7 +196,7 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
     mc, box = _direct_estimates(pf, spec, y)
     doc["v_direct_mc"] = mc.value
     doc["mc_std_error"] = mc.std_error
-    doc["v_direct_boxindicator"] = box.value
+    doc["v_direct_boxindicator"] = box
     if "v_dual" in doc:
         doc["rel_diff_dual_vs_mc"] = _rel_diff(doc["v_dual"], mc.value)
     doc["seed"] = spec.seed
@@ -236,7 +213,7 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
     for y in pf.y_values:
         value, certs = _certificates(pf, spec, y)
         mc, box = _direct_estimates(pf, spec, y)
-        rows.append((y, certs[0].lambda_y, value, mc.value, box.value,
+        rows.append((y, certs[0].lambda_y, value, mc.value, box,
                      _rel_diff(value, mc.value), certs[0].method, spec.seed))
     header = SWEEP_HEADER.split(",")
     return [dict(zip(header, row)) for row in rows], header, rows
@@ -326,7 +303,7 @@ def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
     t0 = time.perf_counter()
     cert = v_dual_homogeneous(pf.problem, 1.0, spec)
     t1 = time.perf_counter()
-    mc_est, box_est = _direct_estimates(pf, spec, 1.0)
+    mc_est, box = _direct_estimates(pf, spec, 1.0)
     t2 = time.perf_counter()
 
     doc = {
@@ -336,9 +313,9 @@ def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
         "v_dual": cert.v_value,
         "v_mc": mc_est.value,
         "mc_std_error": mc_est.std_error,
-        "v_boxindicator": box_est.value,
+        "v_boxindicator": box,
         "rel_diff_dual_vs_mc": _rel_diff(cert.v_value, mc_est.value),
-        "boxindicator_rel_err_vs_mc": _rel_diff(box_est.value, mc_est.value),
+        "boxindicator_rel_err_vs_mc": _rel_diff(box, mc_est.value),
         "seed": spec.seed,
         "samples": spec.sample_count,
         "nodes_per_axis": spec.nodes_per_axis,
@@ -410,9 +387,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.output is None:
         args.output = args.default_output
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        sys.stderr.write("error: --seed must be an unsigned 64-bit integer\n")
-        return 2
     try:
         if args.command == "bench-fig1":
             pf = _fig1_problem(args)

@@ -2,10 +2,10 @@
 
 Four engines cover every integral the package evaluates:
 
-- tensor-product Gauss-Legendre over a box [-r, r]^d, with optional
-  automatic box enlargement for integrands that decay at infinity (the
-  dual of data without homogeneity degrees, and the direct box-indicator
-  estimate);
+- tensor-product Gauss-Legendre over a box [-r, r]^d: ``integrate_box``
+  enlarges the box automatically for integrands that decay at infinity
+  (the dual of data without homogeneity degrees), and ``box_pass`` runs
+  one pass at a given radius (the direct box-indicator estimate);
 - a sphere rule for integrals against exp(-lam * g) with f and g
   positively homogeneous in any dimension, polynomials or opaque
   evaluators whose degrees the caller supplies: homogeneity reduces the
@@ -42,12 +42,13 @@ from .polyalg import MultiPoly
 from .special import exp_in_range, frexp_exp, log_gamma
 from . import rng
 
+# The labels of IntegralEstimate.engine.  QuadratureSpec.engine accepts
+# the first three, and no engine reads it.
 ENGINE_BOX = "box-gauss-legendre"
 ENGINE_GAUSSIAN = "gaussian-quadratic"
 ENGINE_MONTE_CARLO = "monte-carlo"
-_ENGINES = (ENGINE_BOX, ENGINE_GAUSSIAN, ENGINE_MONTE_CARLO)
-# Chosen by the structure of the data, never by a spec, so not in _ENGINES.
 ENGINE_POLAR = "polar"
+_ENGINES = (ENGINE_BOX, ENGINE_GAUSSIAN, ENGINE_MONTE_CARLO)
 
 # Hard cap on tensor-grid size; beyond this an engine refuses to run.
 MAX_TENSOR_POINTS = 1 << 24
@@ -78,14 +79,15 @@ _ENCLOSING_MARGIN = 1.1  # the sphere minimum is sampled, so its radius bound is
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Engine choice plus resolution/box/seed parameters.
+    """Resolution, box, sample and seed parameters of the engines.
 
-    ``box_radius`` is either a positive half-width or "auto", in which
-    case the box engine doubles the radius from an initial guess until
-    two successive estimates agree to ``rel_tol`` relatively.  Dual
-    integrals always use "auto"; a numeric value is the direct
-    estimates' box around {g <= y} when g is not homogeneous.  Every
-    setting is checked here, and an integer one is a plain int, not a bool.
+    Callers choose an engine by calling it, so no engine reads
+    ``engine``: the field stays, checked against the engine names, only
+    because the benchmark still passes it.  ``box_radius`` is either
+    "auto" or a positive half-width, read only by ``enclosing_radius``:
+    the direct estimates' box around {g <= y} when g is not homogeneous.
+    Every setting is checked here, and an integer one is a plain int,
+    not a bool.
     """
 
     engine: str = ENGINE_BOX
@@ -125,26 +127,28 @@ class IntegralEstimate:
     |Sigma| for a polynomial f), their error estimates' scale; Monte Carlo None.
 
     ``error_estimate`` is the engine's own bound on the error of
-    ``value``: rel_tol * max(|value|, magnitude) for the box and polar
-    engines and for Gauss-Hermite on an opaque f, a rounding bound for
-    the exact Gaussian moments of a polynomial f, the standard error for
-    Monte Carlo, and None for one box pass at a numeric ``box_radius``,
-    which tests nothing.
+    ``value``, required and refused unless a nonnegative number:
+    rel_tol * max(|value|, magnitude) for the box and polar engines and
+    for Gauss-Hermite on an opaque f, a rounding bound for the exact
+    Gaussian moments of a polynomial f, and the standard error for
+    Monte Carlo.
     """
 
     value: float
     std_error: float | None
     engine: str
     effort: int
-    box_radius_used: float | None = None
-    magnitude: float | None = None
-    error_estimate: float | None = None
+    box_radius_used: float | None
+    magnitude: float | None
+    error_estimate: float
 
     def __post_init__(self):
         if (self.std_error is not None) != (self.engine == ENGINE_MONTE_CARLO):
             raise InputError("std_error is present if and only if the engine is monte-carlo")
         if self.std_error is not None and self.std_error < 0:
             raise InputError("std_error must be nonnegative")
+        if self.error_estimate is None or not self.error_estimate >= 0:
+            raise InputError(f"error_estimate must be a nonnegative number, got {self.error_estimate!r}")
 
 
 def _legendre_step(n: int, t: np.ndarray):
@@ -340,8 +344,19 @@ def max_box_nodes(dim: int) -> int:
     return n
 
 
-def _box_estimate(phi, dim, radius, nodes_per_axis):
-    if nodes_per_axis > max_box_nodes(dim):  # before its rule is built
+def box_pass(phi, dim: int, radius: float, nodes_per_axis: int):
+    """One tensor Gauss-Legendre pass over [-radius, radius]^dim.
+
+    Returns ``_tensor_apply``'s (sum of w * phi, sum of w * |phi|,
+    points); one pass tests nothing, so it carries no error estimate.
+    More than ``max_box_nodes(dim)`` nodes per axis raise EffortError
+    before any rule is built.
+    """
+    if not isinstance(dim, int) or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    if not radius > 0:
+        raise InputError(f"radius must be positive, got {radius!r}")
+    if nodes_per_axis > max_box_nodes(dim):
         raise EffortError(f"a box pass in {dim} dimensions takes at most "
                           f"{max_box_nodes(dim)} nodes per axis, got {nodes_per_axis}")
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
@@ -355,11 +370,13 @@ def integrate_box(
     *,
     initial_radius: float | None = None,
 ) -> IntegralEstimate:
-    """Tensor Gauss-Legendre estimate of the integral of phi over [-r, r]^dim.
+    """Tensor Gauss-Legendre estimate of the integral of phi over R^dim,
+    truncated to a box [-r, r]^dim that it chooses and verifies itself.
 
-    With ``spec.box_radius == "auto"`` the radius starts at
-    ``initial_radius`` (default 1.0).  Nodes per axis first double at
-    the fixed initial radius until the rule itself is converged to
+    The radius starts at ``initial_radius`` (default 1.0);
+    ``spec.box_radius`` is not used (``box_pass`` runs one pass at a
+    given radius).  Nodes per axis first double at the fixed initial
+    radius until the rule itself is converged to
     ``spec.rel_tol`` (``nodes_per_axis`` is the starting resolution);
     the radius then doubles, with node density held constant, until two
     successive estimates differ by at most ``spec.rel_tol`` times the
@@ -371,8 +388,7 @@ def integrate_box(
     exceed the cap: MAX_TENSOR_POINTS points, and at most _MAX_BOX_NODES
     (8192) nodes per axis.  Refinement runs only resolutions whose first
     enlargement fits under the cap too; EffortError comes before any
-    evaluation when fewer than two remain.  A numeric ``box_radius`` runs
-    one pass, refused with EffortError past ``max_box_nodes(dim)``.
+    evaluation when fewer than two remain.
 
     Parameters
     ----------
@@ -381,19 +397,12 @@ def integrate_box(
     dim : int
         Ambient dimension.
     spec : QuadratureSpec
-        Must have ``engine == "box-gauss-legendre"``.
+        ``nodes_per_axis`` and ``rel_tol`` are read.
     initial_radius : float, optional
         Starting half-width for the automatic enlargement loop.
     """
-    if spec.engine != ENGINE_BOX:
-        raise InputError(f"integrate_box requires engine {ENGINE_BOX!r}, got {spec.engine!r}")
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
-
-    if spec.box_radius != "auto":
-        value, magnitude, effort = _box_estimate(phi, dim, spec.box_radius, spec.nodes_per_axis)
-        return IntegralEstimate(value, None, ENGINE_BOX, effort, spec.box_radius, magnitude)
-
     radius = float(initial_radius) if initial_radius is not None else 1.0
     if not radius > 0:
         raise InputError(f"initial_radius must be positive, got {initial_radius!r}")
@@ -401,13 +410,13 @@ def integrate_box(
     # A resolution whose first enlargement, at twice the nodes, exceeds the
     # cap could never be confirmed, so it is not run.
     value, _, effort, n = _doubling(
-        partial(_box_estimate, phi, dim, radius), spec.nodes_per_axis,
+        partial(box_pass, phi, dim, radius), spec.nodes_per_axis,
         lambda m: (2 * m) ** dim, cap, spec.rel_tol,
         f"the box rule at radius {radius}", "the integrand may be too rough",
     )
     # Enlargement holds the node density: twice the radius, twice the nodes.
     value, magnitude, used, m = _doubling(
-        lambda m: _box_estimate(phi, dim, radius * (m // n), m), 2 * n,
+        lambda m: box_pass(phi, dim, radius * (m // n), m), 2 * n,
         lambda m: m**dim, cap, spec.rel_tol,
         f"box enlargement from radius {radius}", "the integral may diverge", value,
     )
@@ -485,8 +494,7 @@ def integrate_polar(
     Nodes per angle start at ``spec.nodes_per_axis``, halved until twice
     that fits too, and double until two passes differ by at most
     ``spec.rel_tol`` times the later pass's magnitude, max(|value|, sum of
-    w * |f g^(-p)|), as in ``integrate_box``; ``spec.engine`` and
-    ``spec.box_radius`` are not used.  The scale is formed in log space.
+    w * |f g^(-p)|), as in ``integrate_box``.  The scale is formed in log space.
 
     Raises UnboundedSublevelError when g is not positive at a node (g
     vanishes on a ray, so its sublevel sets are unbounded),
@@ -615,12 +623,8 @@ def integrate_gaussian_quadratic(
     lam : float
         Positive weight scale.
     spec : QuadratureSpec
-        Must have ``engine == "gaussian-quadratic"``.
+        ``nodes_per_axis`` and ``rel_tol`` are read, for an opaque f only.
     """
-    if spec.engine != ENGINE_GAUSSIAN:
-        raise InputError(
-            f"integrate_gaussian_quadratic requires engine {ENGINE_GAUSSIAN!r}, got {spec.engine!r}"
-        )
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
     Q = np.asarray(Q, dtype=float)
@@ -682,6 +686,28 @@ def integrate_gaussian_quadratic(
     return IntegralEstimate(value, None, ENGINE_GAUSSIAN, effort, None, magnitude, error)
 
 
+def sublevel_integrand(f, g, y: float):
+    """The point evaluator of f * 1{g <= y}, for the direct estimates.
+
+    f runs only on the points where g <= y, and not at all when there
+    are none.  A point with g == y counts half: the symmetric box rule
+    puts whole rows of nodes on a flat boundary, such as the simplex's
+    at d = 2, and counted in full they bias the estimate by O(1/n).
+    """
+
+    def integrand(pts):
+        g_vals = np.asarray(g(pts), dtype=float)
+        inside, on_level = g_vals <= y, g_vals == y
+        del g_vals  # f's evaluation is the peak of memory: hold only the masks
+        f_inside = f(pts[inside]) if inside.any() else 0.0
+        vals = np.zeros(pts.shape[0])  # allocated after f, for the same reason
+        vals[inside] = f_inside
+        vals[on_level] *= 0.5
+        return vals
+
+    return integrand
+
+
 def monte_carlo_sublevel(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
@@ -694,7 +720,7 @@ def monte_carlo_sublevel(
 
     Draws ``spec.sample_count`` i.i.d. uniform points in the box
     [-R, R]^dim (the caller asserts the sublevel set lies inside) and
-    averages f * indicator(g <= y), scaled by the box volume.  The
+    averages ``sublevel_integrand``, scaled by the box volume.  The
     reported std_error is the sample standard deviation of the summand
     scaled by (2R)^dim / sqrt(N).
 
@@ -702,10 +728,6 @@ def monte_carlo_sublevel(
     (value, std_error) pair depends only on the inputs and the seed,
     never on chunking or execution parallelism.
     """
-    if spec.engine != ENGINE_MONTE_CARLO:
-        raise InputError(
-            f"monte_carlo_sublevel requires engine {ENGINE_MONTE_CARLO!r}, got {spec.engine!r}"
-        )
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
     radius = float(enclosing_radius)
@@ -721,17 +743,13 @@ def monte_carlo_sublevel(
         raise EvaluationError(
             f"the box volume (2 * {radius})^{dim} overflows double precision") from None
     n_samples = spec.sample_count
+    integrand = sublevel_integrand(f, g, y)
     sums = []
     sums_sq = []
     for lo in range(0, n_samples, _MC_CHUNK):
         m = min(_MC_CHUNK, n_samples - lo)
         u = rng.uniforms(spec.seed, lo * dim, m * dim).reshape(m, dim)
-        pts = (2.0 * u - 1.0) * radius
-        g_vals = np.asarray(g(pts), dtype=float)
-        mask = g_vals <= y
-        summand = np.zeros(m)
-        if mask.any():
-            summand[mask] = np.asarray(f(pts[mask]), dtype=float)
+        summand = integrand((2.0 * u - 1.0) * radius)
         if not np.all(np.isfinite(summand)):
             raise EvaluationError("integrand returned a non-finite value at a sample point")
         sums.append(float(np.sum(summand)))

@@ -43,7 +43,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cubature import (
-    ENGINE_BOX,
     ENGINE_GAUSSIAN,
     ENGINE_POLAR,
     IntegralEstimate,
@@ -253,8 +252,7 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
-    Dispatches on the structure of the data, overriding ``spec.engine``,
-    in this order:
+    Dispatches on the structure of the data, in this order:
 
     1. g a positive-definite quadratic form: the Gaussian-weight rule.
     2. ``problem.g_degree`` known, and ``problem.f_pieces`` too, in any
@@ -266,10 +264,11 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
        with an automatic radius; the initial radius puts the weight's
        boundary exponent at 40 when g has a degree and a positive sphere minimum.
 
-    ``spec.box_radius`` is ignored: the box is always chosen and
-    verified here.  g is checked for nonnegativity at every point the
-    polar and box engines touch.  The result's ``error_estimate`` is the
-    chosen engine's own; certificates and the root search read it.
+    Every engine gets ``spec`` unchanged; the box engine chooses and
+    verifies its own box, so ``spec.box_radius`` is not used.  g is
+    checked for nonnegativity at every point the polar and box engines
+    touch.  The result's ``error_estimate`` is the chosen engine's own;
+    certificates and the root search read it.
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
@@ -277,8 +276,7 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     if isinstance(problem.g, MultiPoly):
         Q = _quadratic_form_matrix(problem.g)
         if Q is not None:
-            gaussian_spec = replace(spec, engine=ENGINE_GAUSSIAN)
-            return integrate_gaussian_quadratic(problem.f, Q, lam, gaussian_spec)
+            return integrate_gaussian_quadratic(problem.f, Q, lam, spec)
     d_g, pieces = problem.g_degree, problem.f_pieces
     if d_g is not None and pieces is not None:
         parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec) for j, f_j in pieces]
@@ -300,8 +298,7 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
         m_hat = sphere_minimum(problem.g, problem.dim)
         if m_hat > 0:
             initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
-    box_spec = replace(spec, engine=ENGINE_BOX, box_radius="auto")
-    return integrate_box(phi, problem.dim, box_spec, initial_radius=initial_radius)
+    return integrate_box(phi, problem.dim, spec, initial_radius=initial_radius)
 
 
 def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y: float) -> float:

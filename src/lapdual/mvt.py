@@ -19,12 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cubature import (
-    ENGINE_MONTE_CARLO,
-    QuadratureSpec,
-    enclosing_radius,
-    monte_carlo_sublevel,
-)
+from .cubature import QuadratureSpec, enclosing_radius, monte_carlo_sublevel
 from .duality import SublevelProblem, v_polynomial
 from .errors import ExtractionError, InputError
 from .polyalg import MultiPoly
@@ -63,8 +58,7 @@ def _pipeline_value(problem: SublevelProblem, y, spec, radius):
     """v(y) through the dual pipeline, Monte Carlo when f has no pieces or g no degree."""
     if problem.g_degree is not None and problem.f_pieces is not None:
         return v_polynomial(problem, y, spec)[0]
-    mc_spec = replace(spec, engine=ENGINE_MONTE_CARLO)
-    return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, mc_spec).value
+    return monte_carlo_sublevel(problem.f, problem.g, problem.dim, y, radius, spec).value
 
 
 def mean_value_point(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> MeanValueResult:

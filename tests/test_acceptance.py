@@ -16,6 +16,7 @@ from lapdual import (
     QuadratureSpec,
     SublevelProblem,
     auto_enclosing_radius,
+    box_pass,
     dual_constant,
     dual_integral,
     find_lambda_for_target,
@@ -30,7 +31,6 @@ from lapdual import (
     v_homogeneous_closed_form,
     v_polynomial,
 )
-from lapdual.cubature import ENGINE_MONTE_CARLO
 from lapdual.simplex import orthant_monomial_evaluator, simplex_gauge
 
 from conftest import run_cli, write_problem
@@ -133,19 +133,15 @@ def test_a5_nonconvex_benchmark():
         radius = auto_enclosing_radius(g, 1.0)
         mc = monte_carlo_sublevel(
             problem.f, g, 2, 1.0, radius,
-            QuadratureSpec(engine=ENGINE_MONTE_CARLO, sample_count=10**7, seed=0),
+            QuadratureSpec(sample_count=10**7, seed=0),
         )
         rel = abs(dual.value - mc.value) / mc.value
 
         def indicator(pts, g=g, y=1.0):
             return (np.asarray(g(pts), dtype=float) <= y).astype(float)
 
-        from lapdual import integrate_box
-
-        box = integrate_box(
-            indicator, 2, QuadratureSpec(nodes_per_axis=96, box_radius=radius)
-        )
-        box_rel = abs(box.value - mc.value) / mc.value
+        box, _, _ = box_pass(indicator, 2, radius, 96)
+        box_rel = abs(box - mc.value) / mc.value
         details.append(
             f"{name}: dual {dual.value:.6f} vs mc {mc.value:.6f} rel {rel:.2e}, "
             f"box-indicator rel err {box_rel:.2e} (reported, no threshold)"
@@ -171,7 +167,7 @@ def test_a6_simplex_closed_forms():
             f = orthant_monomial_evaluator(alpha)
             est = monte_carlo_sublevel(
                 f, simplex_gauge, 2, y, y,
-                QuadratureSpec(engine=ENGINE_MONTE_CARLO, sample_count=300_000, seed=41),
+                QuadratureSpec(sample_count=300_000, seed=41),
             )
             mc_ok = mc_ok and abs(est.value - simplex_monomial_v(alpha, y)) <= 4.0 * est.std_error
     report(
@@ -223,13 +219,13 @@ def test_a9_scaling_law():
     radius_1 = auto_enclosing_radius(DISC_G, 1.0)
     mc_1 = monte_carlo_sublevel(
         DISC.f, DISC_G, 2, 1.0, radius_1,
-        QuadratureSpec(engine=ENGINE_MONTE_CARLO, sample_count=10**6, seed=5),
+        QuadratureSpec(sample_count=10**6, seed=5),
     )
     for t in (2.0, 5.0):
         radius_t = auto_enclosing_radius(DISC_G, t)
         mc_t = monte_carlo_sublevel(
             DISC.f, DISC_G, 2, t, radius_t,
-            QuadratureSpec(engine=ENGINE_MONTE_CARLO, sample_count=10**6, seed=6),
+            QuadratureSpec(sample_count=10**6, seed=6),
         )
         band = 4.0 * (mc_t.std_error + t**p * mc_1.std_error)
         mc_ok = mc_ok and abs(mc_t.value - t**p * mc_1.value) <= band

@@ -74,7 +74,7 @@ def test_simplex_direct_estimates_sample_the_corner_box(alpha, samples):
         exact = 1.5 * simplex_monomial_v(alpha, y)
         assert mc.box_radius_used == 0.5 * y
         assert abs(mc.value - exact) <= 3.0 * mc.std_error
-        assert box.value > 0.0
+        assert box > 0.0
 
 
 @pytest.mark.parametrize("alpha", [(1.0, 0.0), (0.0, 0.0), (0.5, 1.5)])
@@ -86,7 +86,7 @@ def test_simplex_box_indicator_counts_boundary_nodes_half(alpha):
                         "y": 1.0, "quadrature": {"sample_count": 1000}})
     _, box = cli._direct_estimates(pf, pf.quadrature, 1.0)
     exact = simplex_monomial_v(alpha, 1.0)
-    assert abs(box.value - exact) <= 5e-4 * exact
+    assert abs(box - exact) <= 5e-4 * exact
 
 
 def test_integrate_simplex_closed_form(tmp_path):
@@ -283,6 +283,37 @@ def test_laplace_check_rejects_nonpositive_lambda(tmp_path):
     assert proc.returncode == 2
 
 
+def test_integrate_closed_form_is_the_one_dual_integral(tmp_path, capsys, monkeypatch):
+    # For homogeneous f the closed form and the dual are one sphere
+    # integral: integrate runs it once and labels it twice.
+    inner = duality.dual_integral
+    lams = []
+
+    def counting(problem, lam, spec):
+        lams.append(lam)
+        return inner(problem, lam, spec)
+
+    monkeypatch.setattr(duality, "dual_integral", counting)
+    monkeypatch.setattr(cli, "dual_integral", counting)
+    doc = dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 0.3, "exps": [1, 1]}]},
+               g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]},
+                                      {"coef": -1.925, "exps": [2, 2]}]},
+               y=2.0, quadrature={"sample_count": 2000})
+    assert main(["integrate", "--input", write_problem(tmp_path / "q.json", doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    dual, closed = out["certificates"]
+    assert len(lams) == 1 and lams[0] == dual["lambda_y"]
+    assert closed == dict(dual, method="closed-form-homogeneous")
+    assert out["v_closed_form"] == out["v_dual"] == dual["v_value"]
+
+
+def test_bench_fig1_refuses_an_out_of_range_seed(capsys):
+    # The spec refuses the seed before any sample is drawn.
+    for seed in ("-1", str(2**64)):
+        assert main(["bench-fig1", "--seed", seed]) == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+
 def test_numeric_box_radius_leaves_dual_alone(tmp_path, capsys):
     # box_radius encloses K_1 of the fig1 quartic, but it only sizes the
     # direct estimates' sampling box: the dual keeps its adaptive box.
@@ -331,10 +362,13 @@ X400 = dict(
         # the y-side sum overflows inside fsum, at 1e-300 each side is inf.
         (DISC, ["laplace-check", "--lambdas", "1e-160"], 3),
         (DISC, ["laplace-check", "--lambdas", "1e-300"], 3),
+        # QuadratureSpec refuses a seed outside the unsigned 64-bit range.
+        (INTERVAL, ["sweep", "--seed", "-1"], 2),
+        (INTERVAL, ["sweep", "--seed", "18446744073709551616"], 2),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
-         "laplace-check-past-double-range"],
+         "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)

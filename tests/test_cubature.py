@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from lapdual import (
     EffortError,
     EvaluationError,
     InputError,
+    IntegralEstimate,
     MultiPoly,
     QuadratureSpec,
     UnboundedSublevelError,
     auto_enclosing_radius,
+    box_pass,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
@@ -26,7 +29,7 @@ from lapdual import (
 from lapdual import cubature, rng
 from lapdual.cubature import MAX_HERMITE_NODES
 
-MC_SPEC = QuadratureSpec(engine="monte-carlo", sample_count=10**6, seed=0)
+MC_SPEC = QuadratureSpec(sample_count=10**6, seed=0)
 
 
 def test_gauss_legendre_midpoint_rule():
@@ -133,24 +136,22 @@ def test_gauss_hermite_rule_size_cap():
         gauss_hermite_rule(MAX_HERMITE_NODES + 1)
     # The engine caps a larger request instead of failing: its doubling
     # passes start at 370 halved, so that twice the start fits, and end at 370.
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=512)
+    spec = QuadratureSpec(nodes_per_axis=512)
     est = integrate_gaussian_quadratic(lambda p: p[:, 0] ** 2, np.eye(1), 1.0, spec)
     assert est.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
     assert est.effort == MAX_HERMITE_NODES // 2 + MAX_HERMITE_NODES
 
 
 def test_integrate_box_constant_is_volume():
-    spec = QuadratureSpec(box_radius=1.0, nodes_per_axis=8)
-    est = integrate_box(lambda p: np.ones(p.shape[0]), 2, spec)
-    assert est.value == pytest.approx(4.0, abs=1e-12)
-    assert est.box_radius_used == 1.0
-    assert est.std_error is None
+    value, magnitude, points = box_pass(lambda p: np.ones(p.shape[0]), 2, 1.0, 8)
+    assert value == pytest.approx(4.0, abs=1e-12)
+    assert magnitude == value
+    assert points == 64
 
 
 def test_integrate_box_gaussian_oracle():
-    spec = QuadratureSpec(box_radius=8.0, nodes_per_axis=64)
-    est = integrate_box(lambda p: np.exp(-p[:, 0] ** 2), 1, spec)
-    assert abs(est.value - math.sqrt(math.pi)) <= 1e-10
+    value, _, _ = box_pass(lambda p: np.exp(-p[:, 0] ** 2), 1, 8.0, 64)
+    assert abs(value - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_integrate_box_auto_pinned_by_monte_carlo(quartic_g, one_2d):
@@ -171,9 +172,9 @@ def test_integrate_box_auto_pinned_by_monte_carlo(quartic_g, one_2d):
 
 
 def test_integrate_box_effort_cap():
-    spec = QuadratureSpec(box_radius=1.0, nodes_per_axis=512)
-    with pytest.raises(EffortError):
-        integrate_box(lambda p: np.ones(p.shape[0]), 3, spec)
+    # 512^3 points exceed the tensor cap: at most 256 nodes per axis in d = 3.
+    with pytest.raises(EffortError, match="at most 256 nodes per axis"):
+        box_pass(lambda p: np.ones(p.shape[0]), 3, 1.0, 512)
 
 
 def test_integrate_box_divergent_integrand_flags():
@@ -184,18 +185,63 @@ def test_integrate_box_divergent_integrand_flags():
 
 
 def test_integrate_box_non_finite_value():
-    spec = QuadratureSpec(box_radius=1.0, nodes_per_axis=4)
     with pytest.raises(EvaluationError):
-        integrate_box(lambda p: np.full(p.shape[0], np.nan), 1, spec)
+        box_pass(lambda p: np.full(p.shape[0], np.nan), 1, 1.0, 4)
 
 
-def test_integrate_box_wrong_engine():
-    with pytest.raises(InputError):
-        integrate_box(lambda p: np.ones(p.shape[0]), 1, QuadratureSpec(engine="monte-carlo"))
+def _gaussian_2d(p):
+    return np.exp(-np.sum(p * p, axis=1))
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: integrate_box(_gaussian_2d, 2, spec),
+    lambda spec: integrate_gaussian_quadratic(MultiPoly(2, {(2, 2): 1.0}), np.eye(2) + 0.1, 0.7, spec),
+    lambda spec: integrate_gaussian_quadratic(lambda p: np.exp(p[:, 0]), np.eye(2), 1.0, spec),
+    lambda spec: integrate_polar(
+        MultiPoly.constant(2, 1.0), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0}), 2, 0, 4, 1.0, spec),
+    lambda spec: monte_carlo_sublevel(
+        MultiPoly.constant(2, 1.0), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), 2, 1.0, 1.0, spec),
+], ids=["box", "gaussian-moments", "gauss-hermite", "polar", "monte-carlo"])
+def test_engines_ignore_spec_engine(run):
+    # The caller chooses an engine by calling it; the spec's engine name,
+    # kept only for the benchmark, changes nothing.
+    spec = QuadratureSpec(sample_count=10_000, seed=3)
+    ref = run(spec)
+    for name in cubature._ENGINES:
+        est = run(replace(spec, engine=name))
+        assert (est.value.hex(), est.error_estimate.hex()) == (ref.value.hex(), ref.error_estimate.hex())
+
+
+def test_integrate_box_ignores_a_numeric_box_radius():
+    # The adaptive box chooses and verifies its radius; one pass at a given
+    # radius is box_pass.
+    auto = integrate_box(_gaussian_2d, 2, QuadratureSpec())
+    assert repr(integrate_box(_gaussian_2d, 2, QuadratureSpec(box_radius=3.0))) == repr(auto)
+
+
+@pytest.mark.parametrize("error", [None, -1.0, math.nan])
+def test_integral_estimate_requires_an_error_bound(error):
+    with pytest.raises(InputError, match="error_estimate"):
+        IntegralEstimate(1.0, None, "polar", 1, None, 1.0, error)
+
+
+def test_sublevel_integrand_runs_f_inside_and_halves_the_level_set():
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return 2.0 + p[:, 0]
+
+    pts = np.array([[-2.0], [-1.0], [0.5], [1.0], [3.0]])
+    integrand = cubature.sublevel_integrand(f, lambda p: np.abs(p[:, 0]), 1.0)
+    assert integrand(pts).tolist() == [0.0, 0.5, 2.5, 1.5, 0.0]
+    assert seen[0].tolist() == [[-1.0], [0.5], [1.0]]
+    assert integrand(pts[[0, 4]]).tolist() == [0.0, 0.0]
+    assert len(seen) == 1  # no point inside: f does not run
 
 
 def test_gaussian_quadratic_identity_weight():
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=16)
+    spec = QuadratureSpec(nodes_per_axis=16)
     est = integrate_gaussian_quadratic(
         lambda p: np.ones(p.shape[0]), np.eye(2), 1.0, spec
     )
@@ -203,7 +249,7 @@ def test_gaussian_quadratic_identity_weight():
 
 
 def test_gaussian_quadratic_interval_dual_value():
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=16)
+    spec = QuadratureSpec(nodes_per_axis=16)
     est = integrate_gaussian_quadratic(
         lambda p: np.ones(p.shape[0]), np.eye(1), math.pi / 4.0, spec
     )
@@ -211,7 +257,7 @@ def test_gaussian_quadratic_interval_dual_value():
 
 
 def test_gaussian_quadratic_second_moment():
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=16)
+    spec = QuadratureSpec(nodes_per_axis=16)
     est = integrate_gaussian_quadratic(
         lambda p: p[:, 0] ** 2, np.diag([1.0, 1.0]), 1.0, spec
     )
@@ -224,7 +270,7 @@ def test_gaussian_quadratic_non_diagonal_oracle():
     # integral of x1^2 exp(-x'Qx) = pi / sqrt(det Q) * (Q^{-1})_{11} / 2.
     Q = np.array([[2.0, 0.5], [0.5, 1.0]])
     det = 2.0 - 0.25
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=16)
+    spec = QuadratureSpec(nodes_per_axis=16)
     mass = integrate_gaussian_quadratic(lambda p: np.ones(p.shape[0]), Q, 1.3, spec)
     assert mass.value == pytest.approx(math.pi / (1.3 * math.sqrt(det)), rel=1e-12)
     inv_11 = float(np.linalg.inv(Q)[0, 0])
@@ -235,7 +281,7 @@ def test_gaussian_quadratic_non_diagonal_oracle():
 
 
 def test_gaussian_quadratic_rejects_bad_matrices():
-    spec = QuadratureSpec(engine="gaussian-quadratic")
+    spec = QuadratureSpec()
     f = lambda p: np.ones(p.shape[0])
     with pytest.raises(InputError):
         integrate_gaussian_quadratic(f, np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, spec)
@@ -262,7 +308,7 @@ def test_gaussian_quadratic_refuses_f_of_another_dim(f, monkeypatch):
 def test_gaussian_quadratic_opaque_scale_stays_in_range(lam):
     # The integral of exp(-lam |x|^2) over R^8 is (pi / lam)^4: 9.7e-399
     # rounds to 0, and 9.7e401 is past the largest double.
-    spec = QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=4)
+    spec = QuadratureSpec(nodes_per_axis=4)
     f = lambda p: np.ones(p.shape[0])
     if lam > 1:
         assert integrate_gaussian_quadratic(f, np.eye(8), lam, spec).value == 0.0
@@ -297,7 +343,7 @@ def test_gaussian_quadratic_consistent_with_box():
             return coefs[0] + coefs[1] * p[:, 0] ** 2 + coefs[2] * p[:, 0] * p[:, 1]
 
         gauss = integrate_gaussian_quadratic(
-            f, Q, lam, QuadratureSpec(engine="gaussian-quadratic", nodes_per_axis=24)
+            f, Q, lam, QuadratureSpec(nodes_per_axis=24)
         )
         eig_min = float(np.linalg.eigvalsh(Q).min())
         r0 = math.sqrt(40.0 / (lam * eig_min))
@@ -312,7 +358,7 @@ def test_gaussian_quadratic_consistent_with_box():
 
 
 def test_monte_carlo_disc_hits_pi(disc_g, one_2d):
-    spec = QuadratureSpec(engine="monte-carlo", sample_count=10**7, seed=0)
+    spec = QuadratureSpec(sample_count=10**7, seed=0)
     est = monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, spec)
     assert est.std_error is not None and est.std_error > 0
     assert abs(est.value - math.pi) <= 4.0 * est.std_error
@@ -320,19 +366,19 @@ def test_monte_carlo_disc_hits_pi(disc_g, one_2d):
 
 
 def test_monte_carlo_measure_zero_level(disc_g, one_2d):
-    spec = QuadratureSpec(engine="monte-carlo", sample_count=10**5, seed=1)
+    spec = QuadratureSpec(sample_count=10**5, seed=1)
     est = monte_carlo_sublevel(one_2d, disc_g, 2, 0.0, 1.0, spec)
     assert est.value == 0.0
     assert est.std_error == 0.0
 
 
 def test_monte_carlo_determinism(disc_g, one_2d):
-    spec = QuadratureSpec(engine="monte-carlo", sample_count=10**5, seed=33)
+    spec = QuadratureSpec(sample_count=10**5, seed=33)
     a = monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, spec)
     b = monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, spec)
     assert (a.value, a.std_error) == (b.value, b.std_error)
     other = monte_carlo_sublevel(
-        one_2d, disc_g, 2, 1.0, 1.0, QuadratureSpec(engine="monte-carlo", sample_count=10**5, seed=34)
+        one_2d, disc_g, 2, 1.0, 1.0, QuadratureSpec(sample_count=10**5, seed=34)
     )
     assert other.value != a.value
 
@@ -340,7 +386,7 @@ def test_monte_carlo_determinism(disc_g, one_2d):
 def test_monte_carlo_unbiased_at_scale(disc_g, one_2d):
     hits = 0
     for seed in range(50):
-        spec = QuadratureSpec(engine="monte-carlo", sample_count=200_000, seed=seed)
+        spec = QuadratureSpec(sample_count=200_000, seed=seed)
         est = monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, spec)
         if abs(est.value - math.pi) <= 3.0 * est.std_error:
             hits += 1
@@ -352,8 +398,6 @@ def test_monte_carlo_input_errors(disc_g, one_2d):
         monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 0.0, MC_SPEC)
     with pytest.raises(InputError):
         monte_carlo_sublevel(one_2d, disc_g, 2, -1.0, 1.0, MC_SPEC)
-    with pytest.raises(InputError):
-        monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 1.0, QuadratureSpec(engine="box-gauss-legendre"))
 
 
 def test_monte_carlo_refuses_a_box_volume_past_the_double_range(disc_g, one_2d, monkeypatch):
@@ -422,7 +466,7 @@ def test_quadrature_spec_refuses_bools_for_integers():
 
 
 def test_gaussian_opaque_f_doubles_until_two_passes_agree():
-    spec = QuadratureSpec(engine="gaussian-quadratic")
+    spec = QuadratureSpec()
     # A kink at x1 = 0 keeps every Hermite pass off by more than rel_tol;
     # one fixed pass at 64 nodes was 1.2e-2 off under a 1.8e-14 certificate.
     with pytest.raises(EffortError, match="Gauss-Hermite"):
@@ -437,7 +481,7 @@ def test_gaussian_opaque_f_doubles_until_two_passes_agree():
 def test_gaussian_opaque_f_starts_where_two_passes_fit():
     # 64^5 points exceed the tensor cap, so the passes start at 8 nodes per
     # axis, the most whose next pass (16^5 points) fits too.
-    spec = QuadratureSpec(engine="gaussian-quadratic")
+    spec = QuadratureSpec()
     est = integrate_gaussian_quadratic(lambda p: np.ones(p.shape[0]), np.eye(5), 1.0, spec)
     assert est.value == pytest.approx(math.pi**2.5, rel=1e-14)
     assert est.effort == 8**5 + 16**5
@@ -447,7 +491,7 @@ def test_gaussian_rule_sized_to_f_degree():
     # x^400 against exp(-lam * 10 x^2) needs 201 nodes; a fixed 64-node
     # rule returned 2.5e-216 for v(1) = 2 * 10^-200.5 / 401.
     f = MultiPoly.monomial(1, (400,))
-    spec = QuadratureSpec(engine="gaussian-quadratic")
+    spec = QuadratureSpec()
     lam = lambda_y_homogeneous(1, 400, 2, 1.0)
     est = integrate_gaussian_quadratic(f, 10.0 * np.eye(1), lam, spec)
     assert est.effort == 201
@@ -458,7 +502,7 @@ def test_gaussian_rule_sized_to_f_degree():
     assert base.value == pytest.approx(exact, rel=1e-12)
 
 
-GAUSS_SPEC = QuadratureSpec(engine="gaussian-quadratic")
+GAUSS_SPEC = QuadratureSpec()
 
 
 def test_gaussian_moments_refuse_a_value_beyond_the_double_range():
@@ -741,7 +785,7 @@ def test_one_dim_box_enlargement_stops_at_the_node_cap(monkeypatch):
     with pytest.raises(EffortError, match="cap of 8192 points"):
         integrate_box(lambda p: np.exp(-1e-2 * p[:, 0] ** 2), 1, QuadratureSpec())
     with pytest.raises(EffortError, match="at most 8192 nodes per axis"):
-        integrate_box(lambda p: np.ones(p.shape[0]), 1, QuadratureSpec(box_radius=1.0, nodes_per_axis=8193))
+        box_pass(lambda p: np.ones(p.shape[0]), 1, 1.0, 8193)
 
 
 def test_integrate_box_enlargement_over_the_cap():
@@ -826,7 +870,7 @@ def test_multipoly_overflow_is_an_evaluation_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EvaluationError):
-            integrate_box(MultiPoly.monomial(1, (400,)), 1, QuadratureSpec(box_radius=10.0))
+            box_pass(MultiPoly.monomial(1, (400,)), 1, 10.0, 64)
 
 
 def _tensor_reference(phi, axes):

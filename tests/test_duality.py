@@ -118,7 +118,7 @@ def test_dual_integral_quartic_matches_monte_carlo(quartic_g, one_2d):
     radius = auto_enclosing_radius(quartic_g, 1.0)
     mc = monte_carlo_sublevel(
         one_2d, quartic_g, 2, 1.0, radius,
-        QuadratureSpec(engine="monte-carlo", sample_count=2 * 10**6, seed=5),
+        QuadratureSpec(sample_count=2 * 10**6, seed=5),
     )
     assert abs(est.value - mc.value) <= 4.0 * mc.std_error
 
@@ -382,7 +382,7 @@ def test_four_dim_quartic_with_cross_terms_matches_monte_carlo():
     doubled, _ = v_polynomial(problem, 1.0, QuadratureSpec(nodes_per_axis=32))
     assert [c.method for c in certs] == ["dual-cubature"] * 2
     assert abs(value - doubled) <= sum(c.error_estimate for c in certs)
-    spec = QuadratureSpec(engine="monte-carlo", sample_count=400_000, seed=1)
+    spec = QuadratureSpec(sample_count=400_000, seed=1)
     mc = monte_carlo_sublevel(problem.f, g, 4, 1.0, auto_enclosing_radius(g, 1.0), spec)
     assert abs(value - mc.value) <= 3.0 * mc.std_error
 
@@ -511,7 +511,7 @@ def test_v_polynomial_signed_random_vs_monte_carlo(disc_g):
         value, _ = v_polynomial(problem, 1.0, SPEC)
         mc = monte_carlo_sublevel(
             f, disc_g, 2, 1.0, radius,
-            QuadratureSpec(engine="monte-carlo", sample_count=400_000, seed=100 + case),
+            QuadratureSpec(sample_count=400_000, seed=100 + case),
         )
         assert abs(value - mc.value) <= 4.0 * mc.std_error + 1e-12
 

@@ -140,7 +140,7 @@ def test_homogeneous_scaling_property():
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
 def test_closed_form_vs_monte_carlo(alpha, y):
     f = orthant_monomial_evaluator(alpha)
-    spec = QuadratureSpec(engine="monte-carlo", sample_count=400_000, seed=2024)
+    spec = QuadratureSpec(sample_count=400_000, seed=2024)
     est = monte_carlo_sublevel(f, simplex_gauge, 2, y, y, spec)
     exact = simplex_monomial_v(alpha, y)
     assert abs(est.value - exact) <= 4.0 * est.std_error
@@ -177,7 +177,7 @@ def test_transform_consistency_with_dual_integral():
             2,
             1e9,  # effectively no level restriction: whole-box integral
             60.0 / lam,
-            QuadratureSpec(engine="monte-carlo", sample_count=2_000_000, seed=8),
+            QuadratureSpec(sample_count=2_000_000, seed=8),
         )
         assert abs(mc.value - target) <= 4.0 * mc.std_error
 
