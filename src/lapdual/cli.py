@@ -382,9 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call, not at import, and kept: building it
+# costs about as much as a small command.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.output is None:
         args.output = args.default_output
     try:

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -266,6 +266,20 @@ def _tensor_block(axes, lo, hi):
     return pts.reshape(-1, len(axes))[start:start + hi - lo], w.reshape(-1)[start:start + hi - lo]
 
 
+def _weighted_sums(vals, w, out):
+    """Sums of w * vals and of |w * vals|, the products formed in ``out``;
+    InputError when vals is not shaped like w, EvaluationError when a value
+    is not finite."""
+    if vals.shape != w.shape:
+        raise InputError(
+            f"integrand returned shape {vals.shape}, expected {w.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand returned a non-finite value at a quadrature node")
+    np.multiply(w, vals, out=out)
+    return float(np.sum(out)), float(np.sum(np.abs(out, out=out)))
+
+
 def _tensor_apply(phi, axes):
     """Sums of w_tensor * phi and of |w_tensor * phi| over the tensor grid
     of the per-axis rules ``axes`` (one (nodes, weights) pair per axis),
@@ -284,16 +298,9 @@ def _tensor_apply(phi, axes):
     abs_partials = []
     for lo in range(0, total_points, _TENSOR_CHUNK):
         pts, w = _tensor_block(axes, lo, min(lo + _TENSOR_CHUNK, total_points))
-        vals = np.asarray(phi(pts), dtype=float)
-        if vals.shape != w.shape:
-            raise InputError(
-                f"integrand returned shape {vals.shape}, expected {w.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError("integrand returned a non-finite value at a quadrature node")
-        w *= vals
-        partials.append(float(np.sum(w)))
-        abs_partials.append(float(np.sum(np.abs(w, out=w))))
+        part, abs_part = _weighted_sums(np.asarray(phi(pts), dtype=float), w, w)
+        partials.append(part)
+        abs_partials.append(abs_part)
     return math.fsum(partials), math.fsum(abs_partials), total_points
 
 
@@ -344,13 +351,32 @@ def max_box_nodes(dim: int) -> int:
     return n
 
 
-def box_pass(phi, dim: int, radius: float, nodes_per_axis: int):
+class SplitIntegrand(NamedTuple):
+    """An integrand phi(x) = combine(*parts(x)) whose ``parts`` are the
+    values a memo may keep, such as f(x) and g(x) under f * exp(-lam * g)."""
+
+    parts: Callable[[np.ndarray], tuple]
+    combine: Callable[..., np.ndarray]
+
+    def __call__(self, pts):
+        return self.combine(*self.parts(pts))
+
+
+def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | None = None):
     """One tensor Gauss-Legendre pass over [-radius, radius]^dim.
 
     Returns ``_tensor_apply``'s (sum of w * phi, sum of w * |phi|,
     points); one pass tests nothing, so it carries no error estimate.
     More than ``max_box_nodes(dim)`` nodes per axis raise EffortError
     before any rule is built.
+
+    With a ``memo`` (see ``integrate_box``), phi is a SplitIntegrand and a
+    grid of at most one chunk keeps its tensor weights and phi.parts under
+    ("box", radius, nodes_per_axis); a later pass over that grid only
+    combines them, in the same order and with the same checks as
+    ``_tensor_apply``, so its sums are the same bits.  A larger pass
+    empties the memo first, so what it kept never adds to the memory
+    that pass's chunks take.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -360,7 +386,18 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int):
         raise EffortError(f"a box pass in {dim} dimensions takes at most "
                           f"{max_box_nodes(dim)} nodes per axis, got {nodes_per_axis}")
     base_nodes, base_weights = gauss_legendre_rule(nodes_per_axis)
-    return _tensor_apply(phi, [(radius * base_nodes, radius * base_weights)] * dim)
+    axes = [(radius * base_nodes, radius * base_weights)] * dim
+    points = nodes_per_axis**dim
+    if memo is None or points > _TENSOR_CHUNK:
+        if memo:
+            memo.clear()
+        return _tensor_apply(phi, axes)
+    key = ("box", radius, nodes_per_axis)
+    if key not in memo:
+        pts, w = _tensor_block(axes, 0, points)
+        memo[key] = w, phi.parts(pts)
+    w, parts = memo[key]
+    return (*_weighted_sums(np.asarray(phi.combine(*parts), dtype=float), w, np.empty_like(w)), points)
 
 
 def integrate_box(
@@ -369,6 +406,7 @@ def integrate_box(
     spec: QuadratureSpec,
     *,
     initial_radius: float | None = None,
+    memo: dict | None = None,
 ) -> IntegralEstimate:
     """Tensor Gauss-Legendre estimate of the integral of phi over R^dim,
     truncated to a box [-r, r]^dim that it chooses and verifies itself.
@@ -400,6 +438,15 @@ def integrate_box(
         ``nodes_per_axis`` and ``rel_tol`` are read.
     initial_radius : float, optional
         Starting half-width for the automatic enlargement loop.
+    memo : dict, optional
+        Kept by the caller across calls whose phi are SplitIntegrands with
+        the same ``parts``, as ``find_lambda_for_target`` keeps one for its
+        search, where only lam changes.  Each pass over a grid of at most
+        _TENSOR_CHUNK (2^18) points stores its tensor weights and
+        phi.parts there, and a later pass over the same grid reuses them;
+        a larger pass empties the memo and runs chunk by chunk as without
+        one.  The result is the same bits as without a memo, ``effort``
+        included.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -410,13 +457,13 @@ def integrate_box(
     # A resolution whose first enlargement, at twice the nodes, exceeds the
     # cap could never be confirmed, so it is not run.
     value, _, effort, n = _doubling(
-        partial(box_pass, phi, dim, radius), spec.nodes_per_axis,
+        partial(box_pass, phi, dim, radius, memo=memo), spec.nodes_per_axis,
         lambda m: (2 * m) ** dim, cap, spec.rel_tol,
         f"the box rule at radius {radius}", "the integrand may be too rough",
     )
     # Enlargement holds the node density: twice the radius, twice the nodes.
     value, magnitude, used, m = _doubling(
-        lambda m: box_pass(phi, dim, radius * (m // n), m), 2 * n,
+        lambda m: box_pass(phi, dim, radius * (m // n), m, memo=memo), 2 * n,
         lambda m: m**dim, cap, spec.rel_tol,
         f"box enlargement from radius {radius}", "the integral may diverge", value,
     )
@@ -479,6 +526,8 @@ def integrate_polar(
     d_g: float,
     lam: float,
     spec: QuadratureSpec,
+    *,
+    memo: dict | None = None,
 ) -> IntegralEstimate:
     """Integral of f(x) * exp(-lam * g(x)) over R^dim as a sphere integral.
 
@@ -514,6 +563,12 @@ def integrate_polar(
         Homogeneity degrees of f (k >= 0) and g (d_g > 0).
     lam : float
         Positive weight scale.
+    memo : dict, optional
+        Kept by the caller across calls with the same g, spec and f for
+        each k, as ``find_lambda_for_target`` keeps one for its search.
+        The sphere sum (value, magnitude, evaluations) does not depend on
+        lam, so it is stored under ("polar", k) and later calls only
+        scale it: the same bits as without a memo, ``effort`` included.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -522,6 +577,21 @@ def integrate_polar(
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
     p = (dim + k) / d_g
+    memo = {} if memo is None else memo
+    if ("polar", k) not in memo:
+        memo["polar", k] = _sphere_integral(f, g, dim, p, spec)
+    value, magnitude, effort = memo["polar", k]
+    log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
+    value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)
+    return IntegralEstimate(
+        value, None, ENGINE_POLAR, effort, None, magnitude,
+        spec.rel_tol * max(abs(value), magnitude),
+    )
+
+
+def _sphere_integral(f, g, dim: int, p: float, spec: QuadratureSpec):
+    """``integrate_polar``'s sphere integral of f * g^(-p): (value,
+    magnitude, evaluations) of the agreeing pass, free of lam."""
 
     def h(pts):
         g_vals = np.asarray(g(pts), dtype=float)
@@ -535,25 +605,18 @@ def integrate_polar(
 
     if dim == 1:
         # S^0 = {+1, -1} under counting measure: the two-point sum is exact.
-        value, magnitude, effort = _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
-    else:
-        # The axes are where a degenerate g such as x1^2 most often vanishes,
-        # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
-        # polar rules skip the poles and cos(pi/2) != 0 in floating point.
-        h(np.vstack((np.eye(dim), -np.eye(dim))))
-        size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
-        n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
-        value, magnitude, effort, _ = _doubling(
-            partial(_sphere_sum, h, dim), n, size, _MAX_SPHERE_POINTS, spec.rel_tol,
-            "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
-            "more nodes than the cap allows",
-        )
-    log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
-    value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)
-    return IntegralEstimate(
-        value, None, ENGINE_POLAR, effort, None, magnitude,
-        spec.rel_tol * max(abs(value), magnitude),
-    )
+        return _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
+    # The axes are where a degenerate g such as x1^2 most often vanishes,
+    # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
+    # polar rules skip the poles and cos(pi/2) != 0 in floating point.
+    h(np.vstack((np.eye(dim), -np.eye(dim))))
+    size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
+    n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
+    return _doubling(
+        partial(_sphere_sum, h, dim), n, size, _MAX_SPHERE_POINTS, spec.rel_tol,
+        "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
+        "more nodes than the cap allows",
+    )[:3]
 
 
 def _moment_count(exps, cap):

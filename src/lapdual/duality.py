@@ -47,6 +47,7 @@ from .cubature import (
     ENGINE_POLAR,
     IntegralEstimate,
     QuadratureSpec,
+    SplitIntegrand,
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
@@ -249,7 +250,9 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
-def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
+def dual_integral(
+    problem: SublevelProblem, lam: float, spec: QuadratureSpec, *, memo: dict | None = None
+) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
     Dispatches on the structure of the data, in this order:
@@ -269,6 +272,17 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     checked for nonnegativity at every point the polar and box engines
     touch.  The result's ``error_estimate`` is the chosen engine's own;
     certificates and the root search read it.
+
+    ``memo`` is a dict kept across calls on this problem and spec that
+    differ only in lam, as ``find_lambda_for_target`` keeps one for its
+    search.  The polar engine stores each piece's sphere sum there, and
+    the box engine, when its starting radius does not depend on lam, each
+    grid's weights, f and g values for grids of at most 2^18 points (a
+    larger pass empties the memo and runs chunk by chunk, as without it);
+    g is checked once, when its values are stored.  So f and g are
+    evaluated once per grid rather than once per lam, and the result is
+    the same bits as without a memo.  The Gaussian route does not use it:
+    its moments depend on lam.
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
@@ -279,7 +293,8 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
             return integrate_gaussian_quadratic(problem.f, Q, lam, spec)
     d_g, pieces = problem.g_degree, problem.f_pieces
     if d_g is not None and pieces is not None:
-        parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec) for j, f_j in pieces]
+        parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec, memo=memo)
+                 for j, f_j in pieces]
         return IntegralEstimate(
             math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
             None, math.fsum(e.magnitude for e in parts), math.fsum(e.error_estimate for e in parts),
@@ -287,10 +302,11 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
 
     f_eval = problem.f
 
-    def phi(pts):
+    def f_and_g(pts):
         g_vals = g_eval(pts)
-        return np.asarray(f_eval(pts), dtype=float) * np.exp(-lam * g_vals)
+        return np.asarray(f_eval(pts), dtype=float), g_vals
 
+    phi = SplitIntegrand(f_and_g, lambda f_vals, g_vals: f_vals * np.exp(-lam * g_vals))
     initial_radius = 1.0
     if d_g is not None:
         # Homogeneity gives a principled starting box: the weight's
@@ -298,7 +314,8 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
         m_hat = sphere_minimum(problem.g, problem.dim)
         if m_hat > 0:
             initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
-    return integrate_box(phi, problem.dim, spec, initial_radius=initial_radius)
+            memo = None  # the grids move with lam, so no pass would be reused
+    return integrate_box(phi, problem.dim, spec, initial_radius=initial_radius, memo=memo)
 
 
 def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y: float) -> float:
@@ -405,6 +422,12 @@ def find_lambda_for_target(
     within the engine's own error estimate or the straddling interval
     is below 1e-10 relative, after at most 100 evaluations; the phi at
     the returned lam is checked against ``spec.rel_tol * target``.
+
+    The search keeps one memo of what does not depend on lam (see
+    ``dual_integral``) and drops it when it returns: each piece's sphere
+    sum, or f and g at each box grid of at most 2^18 points, is evaluated
+    once per search rather than once per phi.  Every phi, and so the
+    returned lam, is the same bits as without it.
     """
     return _find_lambda(problem, target, bracket, spec)[0]
 
@@ -434,10 +457,11 @@ def _find_lambda(
     u_lo, u_hi = math.log(lo), math.log(hi)
     log_target = math.log(target)
     samples: list[_Sample] = []
+    memo: dict = {}  # what does not depend on lam, kept for this search only
 
     def evaluate(u):
         lam = lo if u <= u_lo else hi if u >= u_hi else math.exp(u)
-        est = dual_integral(problem, lam, spec)
+        est = dual_integral(problem, lam, spec, memo=memo)
         phi, err = est.value, est.error_estimate
         for s in samples:
             floor = 4.0 * max(err, s.err, 1e-300)

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import run_cli, separable_power_integral, write_problem
+from conftest import SRC, run_cli, separable_power_integral, write_problem
 from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, duality
 from lapdual.cli import main
 from lapdual.problemfile import parse_problem
@@ -391,9 +394,9 @@ def test_find_lambda_integrates_only_inside_the_search(tmp_path, capsys, monkeyp
     inner = duality.dual_integral
     lams = []
 
-    def counting(problem, lam, spec):
+    def counting(problem, lam, spec, **memo):
         lams.append(lam)
-        return inner(problem, lam, spec)
+        return inner(problem, lam, spec, **memo)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     monkeypatch.setattr(cli, "dual_integral", counting)
@@ -599,3 +602,57 @@ def test_closed_form_certificate_bounds_a_cancelling_component(tmp_path):
     closed = [c for c in certs if c["method"] == "closed-form-homogeneous"]
     assert len(closed) == 1
     assert closed[0]["error_estimate"] >= abs(closed[0]["v_value"])
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    path = write_problem(tmp_path / "disc.json", DISC)
+    for _ in range(2):
+        assert main(["find-lambda", "--input", path, "--target", "3.0"]) == 0
+    assert len(built) == 1
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["find-lambda", "--help"], ["integrate", "--bogus"],
+                                  ["find-lambda", "--input", "p.json"], ["nope"]])
+def test_the_kept_parser_prints_what_a_fresh_one_does(argv, tmp_path, capsys):
+    path = write_problem(tmp_path / "disc.json", DISC)
+    assert main(["find-lambda", "--input", path, "--target", "3.0"]) == 0
+    capsys.readouterr()
+    fresh = _exit_of(cli.build_parser().parse_args, argv, capsys)
+    assert fresh[0] in (0, 2) and fresh[1] + fresh[2]
+    for _ in range(2):
+        assert _exit_of(main, argv, capsys) == fresh
+
+
+def test_import_loads_no_optional_module_and_builds_no_parser():
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import lapdual, lapdual.cli\n"
+        "print(len(built), sorted(m for m in sys.modules\n"
+        "                         if m.split('.')[0] in ('scipy', 'mpmath', 'perfbench')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

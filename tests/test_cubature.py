@@ -189,6 +189,29 @@ def test_integrate_box_non_finite_value():
         box_pass(lambda p: np.full(p.shape[0], np.nan), 1, 1.0, 4)
 
 
+def test_box_pass_memo_keeps_one_chunk_grids_only():
+    calls = []
+
+    def parts(pts):
+        calls.append(pts.shape[0])
+        return (np.sum(pts * pts, axis=1),)
+
+    phi = cubature.SplitIntegrand(parts, lambda r2: np.exp(-0.5 * r2))
+    memo = {}
+    small = [box_pass(phi, 2, 3.0, 64, memo=memo) for _ in range(2)]
+    assert small == [box_pass(phi, 2, 3.0, 64)] * 2
+    assert calls == [64 * 64, 64 * 64]  # the memo's fill, then the pass without one
+    assert list(memo) == [("box", 3.0, 64)]
+    # 1024^2 points take four chunks: the memo is emptied, none is kept.
+    assert box_pass(phi, 2, 3.0, 1024, memo=memo) == box_pass(phi, 2, 3.0, 1024)
+    assert memo == {}
+    # A non-finite value is refused on every pass, the memo's too.
+    bad = cubature.SplitIntegrand(lambda pts: (pts[:, 0],), lambda x: np.where(x > 0, np.inf, 1.0))
+    for _ in range(2):
+        with pytest.raises(EvaluationError):
+            box_pass(bad, 1, 1.0, 4, memo=memo)
+
+
 def _gaussian_2d(p):
     return np.exp(-np.sum(p * p, axis=1))
 

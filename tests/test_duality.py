@@ -660,9 +660,9 @@ def _count_phi_evals(monkeypatch):
     lams = []
     inner = duality.dual_integral
 
-    def counting(problem, lam, spec):
+    def counting(problem, lam, spec, **memo):
         lams.append(lam)
-        return inner(problem, lam, spec)
+        return inner(problem, lam, spec, **memo)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     return lams
@@ -717,6 +717,88 @@ def test_find_lambda_non_homogeneous_g_skips_the_bracket_ends():
     lam = find_lambda_for_target(problem, 3.0, (1e-3, 1e3), spec)
     assert lam == pytest.approx(0.781491, rel=1e-5)
     assert abs(dual_integral(problem, lam, spec).value - 3.0) <= spec.rel_tol * 3.0
+
+
+# find-lambda's g = |x|^2 + |x|^4 and f = 1.3 + 0.4|x|^2: g has no degree,
+# so every phi of the search runs the box engine.
+_RADIAL_G = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0})
+_RADIAL_F = MultiPoly(2, {(0, 0): 1.3, (2, 0): 0.4, (0, 2): 0.4})
+_RADIAL_SPEC = QuadratureSpec(nodes_per_axis=16, rel_tol=1e-6)
+
+
+def _record_samples(monkeypatch):
+    samples = []
+    inner = duality.dual_integral
+
+    def recording(problem, lam, spec, **memo):
+        samples.append((lam, inner(problem, lam, spec, **memo)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(duality, "dual_integral", recording)
+    return samples
+
+
+def _assert_samples_are_fresh_integrals(samples, problem, spec):
+    # The memo changes no bits: each phi of the search is what a call of
+    # its own gives (this module's dual_integral is the unpatched one).
+    assert len(samples) >= 2
+    for lam, est in samples:
+        fresh = dual_integral(problem, lam, spec)
+        assert (est.value, est.magnitude, est.error_estimate, est.effort) == (
+            fresh.value, fresh.magnitude, fresh.error_estimate, fresh.effort)
+
+
+def test_find_lambda_evaluates_f_and_g_once_per_box_grid_point(monkeypatch):
+    seen = {"f": [], "g": []}
+
+    def counted(name, h):
+        def evaluator(pts):
+            seen[name].append(pts.copy())
+            return h(pts)
+        return evaluator
+
+    problem = SublevelProblem(2, counted("f", _RADIAL_F), counted("g", _RADIAL_G))
+    samples = _record_samples(monkeypatch)
+    find_lambda_for_target(problem, 1.5, (1e-2, 1e2), _RADIAL_SPEC)
+    assert {est.engine for _, est in samples} == {"box-gauss-legendre"}
+    for name, calls in seen.items():
+        pts = np.concatenate(calls)
+        assert np.unique(pts, axis=0).shape[0] == pts.shape[0], name
+    _assert_samples_are_fresh_integrals(samples, problem, _RADIAL_SPEC)
+
+
+def test_find_lambda_runs_each_sphere_sum_once(quartic_g, monkeypatch):
+    # f = x1^2 + 0.3 x1 x2 + 1 has two pieces; g is opaque with its
+    # degree stated, so its evaluations count what the sphere sums run.
+    points = []
+
+    def g(pts):
+        points.append(pts.shape[0])
+        return quartic_g(pts)
+
+    f = MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.3, (0, 0): 1.0})
+    problem = SublevelProblem(2, f, g, g_degree=4)
+    samples = _record_samples(monkeypatch)
+    points.clear()
+    find_lambda_for_target(problem, 2.0, (1e-3, 1e3), SPEC)
+    in_search = sum(points)
+    assert {est.engine for _, est in samples} == {"polar"}
+    points.clear()
+    dual_integral(problem, samples[0][0], SPEC)
+    assert in_search == sum(points) > 0
+    _assert_samples_are_fresh_integrals(samples, problem, SPEC)
+
+
+@pytest.mark.parametrize("problem, target, bracket, lam_hex", [
+    (SublevelProblem(2, _RADIAL_F, _RADIAL_G), 6.0, (1e-2, 1e2), "0x1.48103222e47a4p-2"),
+    (SublevelProblem(2, _RADIAL_F, _RADIAL_G), 1.5, (1e-2, 1e2), "0x1.e9e033967a554p+0"),
+    (SublevelProblem(2, _RADIAL_F, _RADIAL_G), 0.4, (1e-2, 1e2), "0x1.1e7d5390c8f11p+3"),
+    (SublevelProblem(2, MultiPoly.constant(2, 1.0), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (4, 0): 1.0})),
+     3.0, (1e-3, 1e3), "0x1.901fa46998493p-1"),
+])
+def test_find_lambda_returns_the_same_bits(problem, target, bracket, lam_hex):
+    # Pinned from the search that evaluated f and g afresh at every lam.
+    assert find_lambda_for_target(problem, target, bracket, _RADIAL_SPEC).hex() == lam_hex
 
 
 def test_gaussian_certificate_bounds_high_degree_error(interval_g):
