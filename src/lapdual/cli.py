@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -40,7 +41,7 @@ from .duality import (
     v_homogeneous_closed_form,
     v_polynomial,
 )
-from .errors import EngineError, InputError
+from .errors import EngineError, EvaluationError, InputError
 from .mvt import mean_value_point
 from .polyalg import MultiPoly
 from .problemfile import ProblemFile, load_problem_file
@@ -51,6 +52,7 @@ from .simplex import (
     simplex_laplace_of_v,
     simplex_monomial_v,
 )
+from .special import frexp_exp
 
 SWEEP_HEADER = "y,lambda_y,v_dual,v_direct_mc,v_direct_boxindicator,rel_diff_dual_vs_mc,method,seed"
 CERT_HEADER = "y,lambda_y,v_value,method,error_estimate"
@@ -100,11 +102,12 @@ def _single_y(pf: ProblemFile, message: str) -> float:
     return pf.y_values[0]
 
 
-def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
+def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float, memo: dict | None = None):
     """v(y) and one certificate per dualized piece: a homogeneous
-    component of f in poly mode, an alpha term in simplex mode."""
+    component of f in poly mode, an alpha term in simplex mode.  ``memo``
+    is ``v_polynomial``'s."""
     if pf.mode == "poly":
-        return v_polynomial(pf.problem, y, spec)
+        return v_polynomial(pf.problem, y, spec, memo=memo)
     certs = [
         DualCertificate(
             y,
@@ -203,18 +206,56 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
     return doc, header, [c.csv_row() for c in certs]
 
 
+def _scaled(value: float, log_factor: float) -> float:
+    """value * exp(log_factor), with the factor split by ``frexp_exp`` so
+    that only the product must fit in a double; EvaluationError when it
+    does not."""
+    mantissa, power = frexp_exp(log_factor)
+    try:
+        scaled = math.ldexp(value * mantissa, power)
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise EvaluationError(f"a direct estimate scaled by exp({log_factor}) is past the double range")
+    return scaled
+
+
 def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
+    """One row per level y of the grid: lambda_y, v(y) and the direct estimates.
+
+    f and g are homogeneous, so v(y) = y^p * v(1) with p = (d + deg f)/deg g
+    (simplex mode: p = d + sum(alpha)).  The direct estimates obey the same
+    law: the enclosing box scales as y^(1/deg g) (simplex: as y), Monte
+    Carlo draws the same unit samples at every level and the box rule's
+    nodes scale with the box.  So Monte Carlo and the box-indicator pass
+    run once, at the first level y1, and each later level prints y1's
+    values times (y/y1)^p, formed in log space; a sample or node that lies
+    exactly on the level set is judged once, at y1.  The first row is the
+    measurement itself, and its Monte Carlo value is the independent check
+    on the dual; the rest of the column is that one measurement scaled,
+    as v_dual is one sphere sum scaled (the grid shares one memo).  An
+    empty grid runs no estimate.
+    """
     if pf.mode == "simplex":
         if len(pf.simplex_poly.terms) != 1:
             raise InputError("sweep in simplex mode supports a single alpha term")
+        order = pf.dim + sum(pf.simplex_poly.terms[0].alpha)
     elif pf.problem.f_degree is None or pf.problem.g_degree is None:
         raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
+    else:
+        order = (pf.dim + pf.problem.f_degree) / pf.problem.g_degree
+    memo: dict = {}  # lam-free sums, shared by every level
     rows = []
     for y in pf.y_values:
-        value, certs = _certificates(pf, spec, y)
-        mc, box = _direct_estimates(pf, spec, y)
-        rows.append((y, certs[0].lambda_y, value, mc.value, box,
-                     _rel_diff(value, mc.value), certs[0].method, spec.seed))
+        value, certs = _certificates(pf, spec, y, memo)
+        if not rows:
+            y1, (mc1, box1) = y, _direct_estimates(pf, spec, y)
+            mc, box = mc1.value, box1
+        else:
+            log_factor = order * (math.log(y) - math.log(y1))
+            mc, box = _scaled(mc1.value, log_factor), _scaled(box1, log_factor)
+        rows.append((y, certs[0].lambda_y, value, mc, box,
+                     _rel_diff(value, mc), certs[0].method, spec.seed))
     header = SWEEP_HEADER.split(",")
     return [dict(zip(header, row)) for row in rows], header, rows
 
@@ -245,13 +286,14 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             raise InputError(
                 "laplace-check needs a closed-form v: homogeneous f and g, or simplex mode"
             )
-        base = dual_integral(problem, 1.0, spec).value
+        memo: dict = {}  # the base and every transform share one sphere sum
+        base = dual_integral(problem, 1.0, spec, memo=memo).value
 
         def v_fn(y):
             return v_homogeneous_closed_form(problem, base, y)
 
         def rhs_fn(lam):
-            return laplace_of_v(problem, lam, spec)
+            return laplace_of_v(problem, lam, spec, memo=memo)
 
     rows = []
     for lam in lambdas:

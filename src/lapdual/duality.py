@@ -336,23 +336,27 @@ def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y:
     return math.copysign(power_over_gamma(y, p, math.log(abs(base_integral))), base_integral)
 
 
-def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> DualCertificate:
+def v_dual_homogeneous(
+    problem: SublevelProblem, y: float, spec: QuadratureSpec, *, memo: dict | None = None
+) -> DualCertificate:
     """v(y) via the explicit dual value for homogeneous f and g.
 
     Computes lambda_y from the degrees, evaluates the dual integral
     there, and returns the certificate; y * lambda_y equals the dual
-    constant by construction.
+    constant by construction.  ``memo`` goes to ``dual_integral``: one
+    dict kept across levels of the same problem and spec makes the sphere
+    sum run once, with the same bits at every level.
     """
     if problem.f_degree is None or problem.g_degree is None:
         raise InputError("dual evaluation requires homogeneity degrees for both f and g")
     lam = lambda_y_homogeneous(problem.dim, problem.f_degree, problem.g_degree, y)
-    est = dual_integral(problem, lam, spec)
+    est = dual_integral(problem, lam, spec, memo=memo)
     method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
     return DualCertificate(y, lam, est.value, method, est.error_estimate)
 
 
 def v_polynomial(
-    problem: SublevelProblem, y: float, spec: QuadratureSpec
+    problem: SublevelProblem, y: float, spec: QuadratureSpec, *, memo: dict | None = None
 ) -> tuple[float, list[DualCertificate]]:
     """v(y) for f of any sign over homogeneous g, one piece of f at a time.
 
@@ -360,6 +364,8 @@ def v_polynomial(
     lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y and returns the
     ascending-in-k sum, with one certificate per piece.  An f with a degree,
     opaque with a stated one included, is one piece: the problem as it stands.
+    Every piece reads the one ``memo`` (see ``dual_integral``), which keys
+    its sphere sums by k, so a caller may keep it across levels y.
     """
     if problem.f_pieces is None:
         raise InputError("v_polynomial requires a polynomial f or a stated f_degree")
@@ -369,19 +375,22 @@ def v_polynomial(
     total = 0.0
     for k, f_k in problem.f_pieces:
         piece = problem if problem.f_degree is not None else replace(problem, f=f_k, f_degree=k)
-        cert = v_dual_homogeneous(piece, y, spec)
+        cert = v_dual_homogeneous(piece, y, spec, memo=memo)
         certificates.append(cert)
         total += cert.v_value
     return total, certificates
 
 
-def laplace_of_v(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> float:
+def laplace_of_v(
+    problem: SublevelProblem, lam: float, spec: QuadratureSpec, *, memo: dict | None = None
+) -> float:
     """Laplace transform of v at lam:
     L_v(lam) = (1/lam) * integral of f * exp(-lam * g) over R^d.
 
-    EvaluationError when L_v(lam) is past the double range.
+    ``memo`` goes to ``dual_integral``.  EvaluationError when L_v(lam) is
+    past the double range.
     """
-    return _transform_sum([dual_integral(problem, lam, spec).value / lam], lam)
+    return _transform_sum([dual_integral(problem, lam, spec, memo=memo).value / lam], lam)
 
 
 def _transform_sum(terms, lam: float) -> float:

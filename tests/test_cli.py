@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import SRC, run_cli, separable_power_integral, write_problem
-from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, duality
+from lapdual import MultiPoly, QuadratureSpec, SublevelProblem, cli, cubature, duality
 from lapdual.cli import main
 from lapdual.problemfile import parse_problem
 from lapdual.simplex import simplex_monomial_v
@@ -216,6 +216,80 @@ def test_sweep_requires_homogeneous_f(tmp_path):
     assert proc.returncode == 2
 
 
+def _grid(doc, y_grid, **quadrature):
+    """``doc`` over the levels ``y_grid``, with its quadrature block replaced."""
+    grid = {k: v for k, v in doc.items() if k != "y"}
+    return dict(grid, y_grid=y_grid, quadrature=quadrature)
+
+
+FIG1 = dict(DISC, g=cli.FIG1_QUARTIC.to_json_dict(), y=2.0, quadrature={"sample_count": 2000},
+            f={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 0.3, "exps": [1, 1]}]})
+SIMPLEX_3D = dict(SIMPLEX, alpha_terms=[{"coef": 1.5, "alpha": [1.0, 0.5, 0.0]}])
+SWEEP_GRIDS = {
+    "simplex-3d": _grid(SIMPLEX_3D, [0.4, 1.0, 3.7], sample_count=5000, nodes_per_axis=32),
+    "fig1-quartic": _grid(FIG1, [0.3, 1.0, 2.5], sample_count=5000),
+}
+
+
+@pytest.mark.parametrize("doc, rel", [
+    (SWEEP_GRIDS["simplex-3d"], 1e-13),
+    (SWEEP_GRIDS["fig1-quartic"], 1e-13),
+    # (y/y1)^p = 1e600 is past the double range although every value is not.
+    (_grid(dict(DISC, f=DISC["g"]), [1e-150, 1.0, 1e150], sample_count=2000), 1e-12),
+], ids=["simplex-3d", "fig1-quartic", "disc-1e-150-to-1e150"])
+def test_sweep_direct_columns_are_the_per_level_estimates(doc, rel, tmp_path, capsys):
+    # Homogeneity carries the direct estimates from the first level to
+    # every other: the first row is the measurement, the rest agree with
+    # measuring each level afresh up to rounding.
+    assert main(["sweep", "--input", write_problem(tmp_path / "grid.json", doc)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
+    pf = parse_problem(doc)
+    assert len(rows) == len(pf.y_values)
+    for i, (row, y) in enumerate(zip(rows, pf.y_values)):
+        mc, box = cli._direct_estimates(pf, pf.quadrature, y)
+        for printed, measured in zip(map(float, row[3:5]), (mc.value, box)):
+            assert printed == (measured if i == 0 else pytest.approx(measured, rel=rel, abs=0))
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_GRIDS))
+def test_sweep_runs_each_direct_estimate_once(case, tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("monte_carlo_sublevel", "box_pass"):
+        _count_calls(monkeypatch, cli, name, calls)
+    assert main(["sweep", "--input", write_problem(tmp_path / "grid.json", SWEEP_GRIDS[case])]) == 0
+    assert sorted(calls) == ["box_pass", "monte_carlo_sublevel"]
+    calls.clear()
+    empty = dict(SWEEP_GRIDS[case], y_grid=[])
+    assert main(["sweep", "--input", write_problem(tmp_path / "empty.json", empty)]) == 0
+    assert calls == [] and capsys.readouterr().out.endswith(cli.SWEEP_HEADER + "\n")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["integrate"], FIG1),
+    (["laplace-check"], FIG1),
+    (["find-lambda", "--target", "0.5"], FIG1),
+    (["sweep"], _grid(FIG1, [0.5, 1.0, 2.0, 4.0, 8.0], sample_count=2000)),
+], ids=["integrate", "laplace-check", "find-lambda", "sweep"])
+def test_each_command_runs_one_sphere_integral(argv, doc, tmp_path, capsys, monkeypatch):
+    # f = x1^2 + 0.3 x1 x2 over the fig1 quartic is one piece on the sphere.
+    # Its sphere sum depends on neither lam nor y, so one memo per command
+    # serves the base integral, every transform, every root step and every level.
+    calls = []
+    _count_calls(monkeypatch, cubature, "_sphere_integral", calls)
+    assert main([argv[0], "--input", write_problem(tmp_path / "q.json", doc), *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
 def test_laplace_check_interval(tmp_path):
     path = write_problem(tmp_path / "interval.json", INTERVAL)
     proc = run_cli("laplace-check", "--input", path, "--lambdas", "1")
@@ -292,9 +366,9 @@ def test_integrate_closed_form_is_the_one_dual_integral(tmp_path, capsys, monkey
     inner = duality.dual_integral
     lams = []
 
-    def counting(problem, lam, spec):
+    def counting(problem, lam, spec, **memo):
         lams.append(lam)
-        return inner(problem, lam, spec)
+        return inner(problem, lam, spec, **memo)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     monkeypatch.setattr(cli, "dual_integral", counting)
@@ -368,10 +442,17 @@ X400 = dict(
         # QuadratureSpec refuses a seed outside the unsigned 64-bit range.
         (INTERVAL, ["sweep", "--seed", "-1"], 2),
         (INTERVAL, ["sweep", "--seed", "18446744073709551616"], 2),
+        # f = x1^40 over x1^4 + x2^4 has v(y) = y^10.5 v(1).  At y = 3e29 v is
+        # 0.88 of the largest double, but the box-indicator value, 1.19 v at
+        # 64 nodes, is past it: measured at that level it printed inf.
+        (_grid(dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [40, 0]}]},
+                    g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]}]}),
+               [1.0, 3e29], sample_count=2000), ["sweep"], 3),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
-         "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits"],
+         "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits",
+         "sweep-scaled-past-double-range"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)
