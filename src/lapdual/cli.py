@@ -4,13 +4,15 @@ Subcommands: integrate, sweep, laplace-check, mvt, find-lambda,
 bench-fig1.  Exit codes: 0 success, 2 input/schema problem, 3 numerical
 engine failure.  All stdout output is a pure function of the command
 line and the input file: timings go to stderr, randomness is fully
-determined by the seed.
+determined by the seed.  Every number printed is finite: output holding
+an infinity or a NaN is not written, and the command exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -66,6 +68,25 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _render(output: str, doc, header, rows) -> str:
+    """The command's stdout, as JSON or as CSV; EvaluationError when a
+    number in it is not finite."""
+    if output == "json":
+        try:
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise EvaluationError(f"the result is not finite ({exc}); nothing printed") from None
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        for name, cell in zip(header, row):
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise EvaluationError(f"{name} is {cell} in the row of {header[0]} = {row[0]}; nothing printed")
+        writer.writerow([_fmt(cell) for cell in row])
+    return text.getvalue()
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -208,16 +229,13 @@ def cmd_integrate(pf: ProblemFile, spec: QuadratureSpec, args):
 
 def _scaled(value: float, log_factor: float) -> float:
     """value * exp(log_factor), with the factor split by ``frexp_exp`` so
-    that only the product must fit in a double; EvaluationError when it
-    does not."""
+    that only the product must fit in a double; past it, an infinity,
+    which ``_render`` refuses to print."""
     mantissa, power = frexp_exp(log_factor)
     try:
-        scaled = math.ldexp(value * mantissa, power)
+        return math.ldexp(value * mantissa, power)
     except OverflowError:
-        scaled = math.inf
-    if not math.isfinite(scaled):
-        raise EvaluationError(f"a direct estimate scaled by exp({log_factor}) is past the double range")
-    return scaled
+        return math.copysign(math.inf, value)
 
 
 def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
@@ -442,18 +460,14 @@ def main(argv=None) -> int:
         else:
             pf = load_problem_file(args.input)
         doc, header, rows = args.func(pf, _spec_from(pf, args), args)
+        text = _render(args.output, doc, header, rows)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except EngineError as exc:
         sys.stderr.write(f"engine error: {exc}\n")
         return 3
-    if args.output == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    sys.stdout.write(text)
     return 0
 
 

@@ -18,7 +18,9 @@ Four engines cover every integral the package evaluates:
   function of (inputs, seed) regardless of how work is partitioned.
 
 Point evaluators passed to the engines must accept an (N, d) array of
-row points and return an (N,) array of values.
+row points and return an (N,) array of values, row by row: the engines
+call them on blocks of at most 2^14 rows, and no result depends on the
+block size.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ MAX_TENSOR_POINTS = 1 << 24
 # Fixed chunk sizes: accumulation order never depends on anything else.
 _TENSOR_CHUNK = 1 << 18
 _MC_CHUNK = 1 << 19
+
+# Rows an engine builds and evaluates at a time.  It changes no bit of any
+# sum (see ``_chunk_sums``); it bounds a pass's working memory to one block
+# plus one chunk buffer, whatever the pass's size.
+_BLOCK = 1 << 14
 
 # Most nodes per axis in a box pass: an 8192-node rule takes about 0.5 s
 # to build, and in d = 1 nothing else bounds the enlargement.
@@ -131,7 +138,10 @@ class IntegralEstimate:
     rel_tol * max(|value|, magnitude) for the box and polar engines and
     for Gauss-Hermite on an opaque f, a rounding bound for the exact
     Gaussian moments of a polynomial f, and the standard error for
-    Monte Carlo.
+    Monte Carlo.  Unless no evaluation formed the value (``effort`` 0,
+    an exact zero), it is floored at ``math.ulp(value)``: a computed
+    value is no closer to the integral than its own rounding, and a
+    relative bound on a subnormal value underflows to 0.
     """
 
     value: float
@@ -149,6 +159,8 @@ class IntegralEstimate:
             raise InputError("std_error must be nonnegative")
         if self.error_estimate is None or not self.error_estimate >= 0:
             raise InputError(f"error_estimate must be a nonnegative number, got {self.error_estimate!r}")
+        if self.effort:
+            object.__setattr__(self, "error_estimate", max(self.error_estimate, math.ulp(self.value)))
 
 
 def _legendre_step(n: int, t: np.ndarray):
@@ -240,9 +252,9 @@ def _tensor_block(axes, lo, hi):
     Each weight is the product ((w_(d-1) * w_(d-2)) * ...) * w_0, formed
     in that order.  The rows of axis 0 that the range touches are built
     by broadcasting axis 0 over the grid of the other axes, then the
-    range is sliced out.  A range that crosses rows longer than a chunk
-    is split at the row boundary, so a block built for a range of at most
-    one chunk holds fewer than three chunks of points.
+    range is sliced out.  A range that crosses rows longer than a block
+    is split at the row boundary, so a range of at most one block is
+    built from fewer than three blocks of points.
     """
     nodes, weights = axes[0]
     if len(axes) == 1:
@@ -252,7 +264,7 @@ def _tensor_block(axes, lo, hi):
     if r1 - r0 == 1:
         start = 0
         sub_pts, sub_w = _tensor_block(axes[1:], lo - r0 * inner, hi - r0 * inner)
-    elif inner > _TENSOR_CHUNK:
+    elif inner > _BLOCK:
         split = (r0 + 1) * inner
         head, tail = _tensor_block(axes, lo, split), _tensor_block(axes, split, hi)
         return np.concatenate((head[0], tail[0])), np.concatenate((head[1], tail[1]))
@@ -266,18 +278,47 @@ def _tensor_block(axes, lo, hi):
     return pts.reshape(-1, len(axes))[start:start + hi - lo], w.reshape(-1)[start:start + hi - lo]
 
 
-def _weighted_sums(vals, w, out):
-    """Sums of w * vals and of |w * vals|, the products formed in ``out``;
-    InputError when vals is not shaped like w, EvaluationError when a value
-    is not finite."""
+def _weighted(vals, w, out):
+    """w * vals formed in ``out``; InputError when vals is not shaped like
+    w, EvaluationError when a value is not finite."""
     if vals.shape != w.shape:
         raise InputError(
             f"integrand returned shape {vals.shape}, expected {w.shape}"
         )
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand returned a non-finite value at a quadrature node")
-    np.multiply(w, vals, out=out)
-    return float(np.sum(out)), float(np.sum(np.abs(out, out=out)))
+    return np.multiply(w, vals, out=out)
+
+
+def _chunk_sums(total, chunk, fill, fold):
+    """Sums over rows 0 .. total - 1 of the values that ``fill`` forms,
+    and of ``fold`` (np.abs, np.square) of them: the one block loop of
+    every engine.
+
+    ``fill(a, b, out)`` forms the values of rows a .. b - 1, at most
+    _BLOCK of them, in ``out`` and returns it; ``out`` is None only when
+    the whole call is one block, and fill then forms them in an array of
+    its own.  The rows are cut into consecutive chunks of ``chunk``, and
+    the blocks of a chunk fill one chunk-sized buffer, reused by every
+    chunk.  Each chunk's two partial sums are numpy sums of the buffer,
+    ``fold`` applied in place between them, and the partials are added
+    with ``math.fsum``.  So the sums depend on the chunk and never on the
+    block size.
+    """
+    buf = None if total <= _BLOCK else np.empty(min(chunk, total))
+    partials, folded = [], []
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        if buf is None:
+            out = fill(lo, hi, None)
+        else:
+            out = buf[:hi - lo]
+            for a in range(lo, hi, _BLOCK):
+                b = min(a + _BLOCK, hi)
+                fill(a, b, out[a - lo:b - lo])
+        partials.append(float(np.sum(out)))
+        folded.append(float(np.sum(fold(out, out=out))))
+    return math.fsum(partials), math.fsum(folded)
 
 
 def _tensor_apply(phi, axes):
@@ -288,20 +329,21 @@ def _tensor_apply(phi, axes):
 
     The order is a contract, so every engine's value is a pure function
     of its rules: the points run in C order (last axis fastest) and are
-    cut into consecutive chunks of _TENSOR_CHUNK points; phi sees one
-    chunk at a time; each chunk's two partial sums are numpy sums of the
-    chunk's products w * phi, with w formed as in ``_tensor_block``; and
-    the partials are added with ``math.fsum``.
+    cut into consecutive chunks of _TENSOR_CHUNK points; each chunk's two
+    partial sums are numpy sums of the chunk's products w * phi, with w
+    formed as in ``_tensor_block``; and the partials are added with
+    ``math.fsum``.  phi sees one block of at most _BLOCK points at a time,
+    built on its own, so it must be row-wise: its value at a point may
+    not depend on the other points of the block.  The block size changes
+    no bit (see ``_chunk_sums``).
     """
     total_points = math.prod(nodes.size for nodes, _ in axes)
-    partials = []
-    abs_partials = []
-    for lo in range(0, total_points, _TENSOR_CHUNK):
-        pts, w = _tensor_block(axes, lo, min(lo + _TENSOR_CHUNK, total_points))
-        part, abs_part = _weighted_sums(np.asarray(phi(pts), dtype=float), w, w)
-        partials.append(part)
-        abs_partials.append(abs_part)
-    return math.fsum(partials), math.fsum(abs_partials), total_points
+
+    def fill(a, b, out):
+        pts, w = _tensor_block(axes, a, b)
+        return _weighted(np.asarray(phi(pts), dtype=float), w, w if out is None else out)
+
+    return (*_chunk_sums(total_points, _TENSOR_CHUNK, fill, np.abs), total_points)
 
 
 def _doubling(run, n, points, cap, rel_tol, what, hint, prev=None):
@@ -371,12 +413,12 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | 
     before any rule is built.
 
     With a ``memo`` (see ``integrate_box``), phi is a SplitIntegrand and a
-    grid of at most one chunk keeps its tensor weights and phi.parts under
-    ("box", radius, nodes_per_axis); a later pass over that grid only
-    combines them, in the same order and with the same checks as
-    ``_tensor_apply``, so its sums are the same bits.  A larger pass
-    empties the memo first, so what it kept never adds to the memory
-    that pass's chunks take.
+    grid of at most one chunk keeps each block's tensor weights and
+    phi.parts under ("box", radius, nodes_per_axis); a later pass over
+    that grid only combines them, block by block in ``_tensor_apply``'s
+    loop and with its checks, so its sums are the same bits.  A larger
+    pass empties the memo first, so what it kept never adds to the memory
+    that pass's blocks take.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -394,10 +436,16 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | 
         return _tensor_apply(phi, axes)
     key = ("box", radius, nodes_per_axis)
     if key not in memo:
-        pts, w = _tensor_block(axes, 0, points)
-        memo[key] = w, phi.parts(pts)
-    w, parts = memo[key]
-    return (*_weighted_sums(np.asarray(phi.combine(*parts), dtype=float), w, np.empty_like(w)), points)
+        blocks = (_tensor_block(axes, a, min(a + _BLOCK, points)) for a in range(0, points, _BLOCK))
+        memo[key] = [(w, phi.parts(pts)) for pts, w in blocks]
+    kept = memo[key]
+
+    def fill(a, b, out):
+        w, parts = kept[a // _BLOCK]
+        vals = np.asarray(phi.combine(*parts), dtype=float)
+        return _weighted(vals, w, np.empty_like(w) if out is None else out)
+
+    return (*_chunk_sums(points, _TENSOR_CHUNK, fill, np.abs), points)
 
 
 def integrate_box(
@@ -443,10 +491,10 @@ def integrate_box(
         the same ``parts``, as ``find_lambda_for_target`` keeps one for its
         search, where only lam changes.  Each pass over a grid of at most
         _TENSOR_CHUNK (2^18) points stores its tensor weights and
-        phi.parts there, and a later pass over the same grid reuses them;
-        a larger pass empties the memo and runs chunk by chunk as without
-        one.  The result is the same bits as without a memo, ``effort``
-        included.
+        phi.parts there, block by block, and a later pass over the same
+        grid reuses them; a larger pass empties the memo and runs as
+        without one.  The result is the same bits as without a memo,
+        ``effort`` included.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -756,16 +804,16 @@ def sublevel_integrand(f, g, y: float):
     are none.  A point with g == y counts half: the symmetric box rule
     puts whole rows of nodes on a flat boundary, such as the simplex's
     at d = 2, and counted in full they bias the estimate by O(1/n).
+    The engines call it on one block of rows at a time.
     """
 
     def integrand(pts):
         g_vals = np.asarray(g(pts), dtype=float)
-        inside, on_level = g_vals <= y, g_vals == y
-        del g_vals  # f's evaluation is the peak of memory: hold only the masks
-        f_inside = f(pts[inside]) if inside.any() else 0.0
-        vals = np.zeros(pts.shape[0])  # allocated after f, for the same reason
-        vals[inside] = f_inside
-        vals[on_level] *= 0.5
+        inside = g_vals <= y
+        vals = np.zeros(pts.shape[0])
+        if inside.any():
+            vals[inside] = f(pts[inside])
+        vals[g_vals == y] *= 0.5
         return vals
 
     return integrand
@@ -787,9 +835,13 @@ def monte_carlo_sublevel(
     reported std_error is the sample standard deviation of the summand
     scaled by (2R)^dim / sqrt(N).
 
-    Coordinate j of sample i uses RNG counter i * dim + j, so the
-    (value, std_error) pair depends only on the inputs and the seed,
-    never on chunking or execution parallelism.
+    Coordinate j of sample i uses RNG counter i * dim + j, so each block
+    of _BLOCK samples draws only its own counters, and the
+    (value, std_error) pair depends only on the inputs and the seed.  The
+    summands of each chunk of _MC_CHUNK samples gather in one buffer,
+    summed by numpy and then squared in place and summed again; the
+    chunks' sums are added by ``math.fsum``, so the block size changes
+    no bit, and the working memory is one block plus that buffer.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -807,18 +859,18 @@ def monte_carlo_sublevel(
             f"the box volume (2 * {radius})^{dim} overflows double precision") from None
     n_samples = spec.sample_count
     integrand = sublevel_integrand(f, g, y)
-    sums = []
-    sums_sq = []
-    for lo in range(0, n_samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, n_samples - lo)
-        u = rng.uniforms(spec.seed, lo * dim, m * dim).reshape(m, dim)
+
+    def fill(a, b, out):
+        u = rng.uniforms(spec.seed, a * dim, (b - a) * dim).reshape(b - a, dim)
         summand = integrand((2.0 * u - 1.0) * radius)
         if not np.all(np.isfinite(summand)):
             raise EvaluationError("integrand returned a non-finite value at a sample point")
-        sums.append(float(np.sum(summand)))
-        sums_sq.append(float(np.sum(summand * summand)))
-    s1 = math.fsum(sums)
-    s2 = math.fsum(sums_sq)
+        if out is None:
+            return summand
+        out[:] = summand
+        return out
+
+    s1, s2 = _chunk_sums(n_samples, _MC_CHUNK, fill, np.square)
     mean = s1 / n_samples
     value = box_volume * mean
     if n_samples > 1:

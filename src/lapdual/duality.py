@@ -278,7 +278,7 @@ def dual_integral(
     search.  The polar engine stores each piece's sphere sum there, and
     the box engine, when its starting radius does not depend on lam, each
     grid's weights, f and g values for grids of at most 2^18 points (a
-    larger pass empties the memo and runs chunk by chunk, as without it);
+    larger pass empties the memo and runs as without it);
     g is checked once, when its values are stored.  So f and g are
     evaluated once per grid rather than once per lam, and the result is
     the same bits as without a memo.  The Gaussian route does not use it:

@@ -417,6 +417,13 @@ X400 = dict(
     g={"dim": 1, "terms": [{"coef": 10.0, "exps": [2]}]},
 )
 
+# f = x1^40 over x1^4 + x2^4: v(y) = y^10.5 v(1).
+X40 = dict(
+    DISC,
+    f={"dim": 2, "terms": [{"coef": 1.0, "exps": [40, 0]}]},
+    g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]}]},
+)
+
 
 @pytest.mark.parametrize(
     "problem, argv, code",
@@ -442,17 +449,18 @@ X400 = dict(
         # QuadratureSpec refuses a seed outside the unsigned 64-bit range.
         (INTERVAL, ["sweep", "--seed", "-1"], 2),
         (INTERVAL, ["sweep", "--seed", "18446744073709551616"], 2),
-        # f = x1^40 over x1^4 + x2^4 has v(y) = y^10.5 v(1).  At y = 3e29 v is
-        # 0.88 of the largest double, but the box-indicator value, 1.19 v at
-        # 64 nodes, is past it: measured at that level it printed inf.
-        (_grid(dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [40, 0]}]},
-                    g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]}]}),
-               [1.0, 3e29], sample_count=2000), ["sweep"], 3),
+        # At y = 3e29 X40's v is 0.88 of the largest double, but the
+        # box-indicator value, 1.19 v at 64 nodes, is past it: measured at
+        # that level it printed inf ...
+        (_grid(X40, [1.0, 3e29], sample_count=2000), ["sweep"], 3),
+        # ... and integrate, which prints the measurement itself, wrote
+        # Infinity, which is not JSON, and exited 0.
+        (dict(X40, y=3e29, quadrature={"sample_count": 2000}), ["integrate"], 3),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
          "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits",
-         "sweep-scaled-past-double-range"],
+         "sweep-scaled-past-double-range", "integrate-box-indicator-past-double-range"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)
@@ -461,6 +469,27 @@ def test_exit_code_contract(problem, argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
     if code == 2 and argv[0] == "integrate":
         assert "engine" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["integrate"], ["integrate", "--output", "csv"], ["sweep"],
+                                  ["sweep", "--output", "json"], ["laplace-check"], ["mvt"]],
+                         ids=["integrate", "integrate-csv", "sweep", "sweep-json", "laplace-check", "mvt"])
+def test_no_command_prints_a_non_finite_number(argv, tmp_path):
+    # X40 at y = 3e29: v fits in a double, its box-indicator value does not.
+    proc = run_cli(*argv, "--input", write_problem(tmp_path / "p.json", dict(X40, y=3e29)))
+    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stdout == ""
+    elif proc.stdout[:1] in "{[":
+        json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"{name} printed"))
+    else:
+        for line in proc.stdout.splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    continue  # a method name
+                assert math.isfinite(number), line
 
 
 def test_find_lambda_disc(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,9 +15,11 @@ from lapdual import (
     IntegralEstimate,
     MultiPoly,
     QuadratureSpec,
+    SublevelProblem,
     UnboundedSublevelError,
     auto_enclosing_radius,
     box_pass,
+    find_lambda_for_target,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
@@ -246,6 +249,15 @@ def test_integrate_box_ignores_a_numeric_box_radius():
 def test_integral_estimate_requires_an_error_bound(error):
     with pytest.raises(InputError, match="error_estimate"):
         IntegralEstimate(1.0, None, "polar", 1, None, 1.0, error)
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-320, -3e-310, 1.0])
+def test_integral_estimate_error_is_at_least_the_ulp_of_its_value(value):
+    est = IntegralEstimate(value, None, "polar", 1, None, abs(value), 0.0)
+    assert est.error_estimate == math.ulp(value)
+    assert IntegralEstimate(value, None, "polar", 1, None, 1.0, 0.5).error_estimate == 0.5
+    # No evaluation formed the exact zero of a zero f: nothing was rounded.
+    assert IntegralEstimate(0.0, None, "polar", 0, None, 0.0, 0.0).error_estimate == 0.0
 
 
 def test_sublevel_integrand_runs_f_inside_and_halves_the_level_set():
@@ -982,3 +994,99 @@ def test_sphere_minimum_directions_built_once(dim, monkeypatch):
         cubature._sphere_directions.cache_clear()
     assert [r.hex() for r in results] == [expected.hex()] * 2
     assert len(draws) == (dim > 1)
+
+
+def _simplex_indicator():
+    """f = 1 + x1^2 over the simplex {x >= 0, x1 + x2 + x3 <= 1}, as the
+    direct estimates sample it: ``sublevel_integrand`` on a shifted box."""
+    return cubature.sublevel_integrand(
+        lambda p: 1.0 + (p[:, 0] + 0.5) ** 2,
+        lambda p: np.where(np.all(p >= -0.5, axis=1), np.sum(p + 0.5, axis=1), 10.0),
+        1.0,
+    )
+
+
+def _radial_root_problem():
+    g = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (4, 0): 1.0, (0, 4): 1.0, (2, 2): 2.0})
+    return SublevelProblem(2, MultiPoly(2, {(0, 0): 1.0, (2, 0): 0.5}), g)
+
+
+def _hexes(result):
+    if isinstance(result, IntegralEstimate):
+        result = (result.value, result.magnitude, result.error_estimate, result.std_error)
+    elif isinstance(result, float):
+        result = (result,)
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+@pytest.mark.parametrize("chunk, run", [
+    # Two chunks, the second of 3 samples: a ragged last block.
+    ("_MC_CHUNK", lambda: monte_carlo_sublevel(
+        MultiPoly(2, {(2, 0): 1.0, (0, 0): 0.5}), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
+        2, 1.0, 1.1, QuadratureSpec(sample_count=2**19 + 3, seed=11))),
+    ("_TENSOR_CHUNK", lambda: box_pass(_simplex_indicator(), 3, 0.5, 64)),
+    ("_TENSOR_CHUNK", lambda: integrate_polar(
+        MultiPoly(3, {(2, 0, 0): 1.0, (0, 0, 0): 0.3}),
+        MultiPoly(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.5, (0, 0, 4): 2.0, (2, 2, 0): -0.5}),
+        3, 2, 4, 1.0, QuadratureSpec())),
+    # 128^2 then 256^2 nodes: one block, then four.
+    ("_TENSOR_CHUNK", lambda: integrate_gaussian_quadratic(
+        lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.7,
+        QuadratureSpec(nodes_per_axis=128))),
+    # The memo keeps grids of up to 512^2 points, block by block.
+    ("_TENSOR_CHUNK", lambda: find_lambda_for_target(
+        _radial_root_problem(), 0.8, (1e-2, 1e2), QuadratureSpec(nodes_per_axis=64, rel_tol=1e-6))),
+], ids=["monte-carlo", "box-simplex-64^3", "polar-3d", "gauss-hermite", "find-lambda-memo"])
+def test_block_size_changes_no_bit(chunk, run, monkeypatch):
+    blocked = run()
+    monkeypatch.setattr(cubature, "_BLOCK", getattr(cubature, chunk))
+    assert _hexes(run()) == _hexes(blocked)
+
+
+@pytest.mark.parametrize("sizes", [(600_001,), (96, 96, 96), (7, 300, 11), (3, 40_000)],
+                         ids=lambda sizes: "x".join(map(str, sizes)))
+def test_phi_sees_every_point_once_one_block_at_a_time(sizes):
+    axes = [(np.arange(n, dtype=float), np.ones(n)) for n in sizes]
+    seen = []
+
+    def phi(pts):
+        seen.append(pts.copy())
+        return np.ones(pts.shape[0])
+
+    assert cubature._tensor_apply(phi, axes)[2] == math.prod(sizes)
+    assert max(len(pts) for pts in seen) <= cubature._BLOCK
+    grid = np.column_stack(np.unravel_index(np.arange(math.prod(sizes)), sizes)).astype(float)
+    assert np.concatenate(seen).tobytes() == grid.tobytes()
+
+
+def test_monte_carlo_draws_every_sample_once_one_block_at_a_time():
+    n, dim, radius, seen = 2**19 + 3, 3, 1.5, []
+
+    def g(pts):
+        seen.append(pts.copy())
+        return np.zeros(pts.shape[0])
+
+    monte_carlo_sublevel(MultiPoly.constant(dim, 1.0), g, dim, 1.0, radius,
+                         QuadratureSpec(sample_count=n, seed=4))
+    assert max(len(pts) for pts in seen) <= cubature._BLOCK
+    expected = (2.0 * rng.uniforms(4, 0, n * dim).reshape(n, dim) - 1.0) * radius
+    assert np.concatenate(seen).tobytes() == expected.tobytes()
+
+
+def _traced_peak_mb(run):
+    run()  # rules and caches built outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_pass_works_in_one_block_plus_one_chunk_buffer():
+    # Whole-chunk arrays took 48.0 MB and 14.1 MB here.
+    g = MultiPoly(4, {tuple(2 * (j == i) for j in range(4)): 1.0 for i in range(4)})
+    spec = QuadratureSpec(sample_count=2**19, seed=7)
+    assert _traced_peak_mb(lambda: monte_carlo_sublevel(
+        MultiPoly.constant(4, 1.0), g, 4, 1.0, 1.1, spec)) < 10.0
+    assert _traced_peak_mb(lambda: box_pass(_simplex_indicator(), 3, 0.5, 64)) < 6.0

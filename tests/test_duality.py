@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -812,6 +813,21 @@ def test_gaussian_certificate_bounds_high_degree_error(interval_g):
         if abs(cert.v_value - 2.0 / (k + 1)) > cert.error_estimate:
             misses.append(k)
     assert misses == []
+
+
+def test_subnormal_certificate_is_no_finer_than_its_rounding():
+    # f = x1^40 over x1^4 + x2^4 has v(y) = y^10.5 v(1).  At y = 1e-30 v is
+    # subnormal, rel_tol * |v| underflowed, and the certificate claimed 0.0.
+    mpmath = pytest.importorskip("mpmath")
+    problem = SublevelProblem(2, MultiPoly(2, {(40, 0): 1.0}), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0}))
+    v_one = v_polynomial(problem, 1.0, SPEC)[0]
+    y = 1e-30
+    v, (cert,) = v_polynomial(problem, y, SPEC)
+    assert 0.0 < v < sys.float_info.min
+    assert cert.error_estimate >= math.ulp(v)
+    with mpmath.workdps(40):
+        error = abs(mpmath.mpf(v) - mpmath.mpf(v_one) * mpmath.mpf(y) ** mpmath.mpf(10.5))
+    assert error <= cert.error_estimate
 
 
 @pytest.mark.parametrize("r", [0.9, 0.999, 0.99999])
