@@ -40,7 +40,6 @@ from .duality import (
     laplace_of_v,
     laplace_transform_by_quadrature,
     v_dual_homogeneous,
-    v_homogeneous_closed_form,
     v_polynomial,
 )
 from .errors import EngineError, EvaluationError, InputError
@@ -53,8 +52,9 @@ from .simplex import (
     simplex_gauge,
     simplex_laplace_of_v,
     simplex_monomial_v,
+    simplex_power_law,
 )
-from .special import frexp_exp
+from .special import frexp_exp, powers_over_gamma
 
 SWEEP_HEADER = "y,lambda_y,v_dual,v_direct_mc,v_direct_boxindicator,rel_diff_dual_vs_mc,method,seed"
 CERT_HEADER = "y,lambda_y,v_value,method,error_estimate"
@@ -289,11 +289,17 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             raise InputError(f"transform arguments must be positive, got {lam!r}")
         lambdas.append(lam)
 
+    # v on arrays of y, in log space as the scalar closed forms form it.
     if pf.mode == "simplex":
         terms = pf.simplex_poly.terms
+        laws = [(t.coef, *simplex_power_law(t.alpha)) for t in terms]
 
-        def v_fn(y):
-            return generalized_polynomial_v(pf.simplex_poly, y)
+        def v_fn(ys):
+            total = np.zeros(ys.shape)
+            with np.errstate(over="ignore"):  # an infinite sum is refused by the quadrature
+                for coef, p, log_coef in laws:
+                    total += coef * powers_over_gamma(ys, p, log_coef)
+            return total
 
         def rhs_fn(lam):
             return sum(t.coef * simplex_laplace_of_v(t.alpha, lam) for t in terms)
@@ -306,9 +312,12 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             )
         memo: dict = {}  # the base and every transform share one sphere sum
         base = dual_integral(problem, 1.0, spec, memo=memo).value
+        order = (problem.dim + problem.f_degree) / problem.g_degree
 
-        def v_fn(y):
-            return v_homogeneous_closed_form(problem, base, y)
+        def v_fn(ys):
+            if base == 0.0:
+                return np.zeros(ys.shape)
+            return math.copysign(1.0, base) * powers_over_gamma(ys, order, math.log(abs(base)))
 
         def rhs_fn(lam):
             return laplace_of_v(problem, lam, spec, memo=memo)

@@ -60,7 +60,7 @@ _TENSOR_CHUNK = 1 << 18
 _MC_CHUNK = 1 << 19
 
 # Rows an engine builds and evaluates at a time.  It changes no bit of any
-# sum (see ``_chunk_sums``); it bounds a pass's working memory to one block
+# sum (see ``_chunks``); it bounds a pass's working memory to one block
 # plus one chunk buffer, whatever the pass's size.
 _BLOCK = 1 << 14
 
@@ -273,7 +273,8 @@ def _tensor_block(axes, lo, hi):
         sub_pts, sub_w = _tensor_block(axes[1:], 0, inner)
     pts = np.empty((r1 - r0, sub_w.size, len(axes)))
     pts[:, :, 0] = nodes[r0:r1, np.newaxis]
-    pts[:, :, 1:] = sub_pts
+    for j in range(1, len(axes)):  # column by column: numpy's 3-D broadcast copy is slow
+        pts[:, :, j] = sub_pts[:, j - 1]
     w = np.multiply.outer(weights[r0:r1], sub_w)
     return pts.reshape(-1, len(axes))[start:start + hi - lo], w.reshape(-1)[start:start + hi - lo]
 
@@ -290,35 +291,42 @@ def _weighted(vals, w, out):
     return np.multiply(w, vals, out=out)
 
 
-def _chunk_sums(total, chunk, fill, fold):
-    """Sums over rows 0 .. total - 1 of the values that ``fill`` forms,
-    and of ``fold`` (np.abs, np.square) of them: the one block loop of
-    every engine.
+def _chunks(total, chunk, fill):
+    """The values that ``fill`` forms over rows 0 .. total - 1, one chunk
+    at a time: the one block loop of every engine.
 
     ``fill(a, b, out)`` forms the values of rows a .. b - 1, at most
     _BLOCK of them, in ``out`` and returns it; ``out`` is None only when
     the whole call is one block, and fill then forms them in an array of
     its own.  The rows are cut into consecutive chunks of ``chunk``, and
     the blocks of a chunk fill one chunk-sized buffer, reused by every
-    chunk.  Each chunk's two partial sums are numpy sums of the buffer,
-    ``fold`` applied in place between them, and the partials are added
-    with ``math.fsum``.  So the sums depend on the chunk and never on the
-    block size.
+    chunk: each value yielded is that chunk's values, which the caller
+    may overwrite.  So what a caller sums per chunk depends on the chunk
+    and never on the block size.
     """
     buf = None if total <= _BLOCK else np.empty(min(chunk, total))
-    partials, folded = [], []
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         if buf is None:
-            out = fill(lo, hi, None)
-        else:
-            out = buf[:hi - lo]
-            for a in range(lo, hi, _BLOCK):
-                b = min(a + _BLOCK, hi)
-                fill(a, b, out[a - lo:b - lo])
+            yield fill(lo, hi, None)
+            continue
+        out = buf[:hi - lo]
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            fill(a, b, out[a - lo:b - lo])
+        yield out
+
+
+def _chunk_sums(total, chunk, fill):
+    """Sums over rows 0 .. total - 1 of the values that ``fill`` forms
+    (see ``_chunks``) and of their absolute values: each chunk's two
+    partial sums are numpy sums of its values, taken absolute in place
+    between them, and the partials are added with ``math.fsum``."""
+    partials, magnitudes = [], []
+    for out in _chunks(total, chunk, fill):
         partials.append(float(np.sum(out)))
-        folded.append(float(np.sum(fold(out, out=out))))
-    return math.fsum(partials), math.fsum(folded)
+        magnitudes.append(float(np.sum(np.abs(out, out=out))))
+    return math.fsum(partials), math.fsum(magnitudes)
 
 
 def _tensor_apply(phi, axes):
@@ -335,7 +343,7 @@ def _tensor_apply(phi, axes):
     ``math.fsum``.  phi sees one block of at most _BLOCK points at a time,
     built on its own, so it must be row-wise: its value at a point may
     not depend on the other points of the block.  The block size changes
-    no bit (see ``_chunk_sums``).
+    no bit (see ``_chunks``).
     """
     total_points = math.prod(nodes.size for nodes, _ in axes)
 
@@ -343,7 +351,7 @@ def _tensor_apply(phi, axes):
         pts, w = _tensor_block(axes, a, b)
         return _weighted(np.asarray(phi(pts), dtype=float), w, w if out is None else out)
 
-    return (*_chunk_sums(total_points, _TENSOR_CHUNK, fill, np.abs), total_points)
+    return (*_chunk_sums(total_points, _TENSOR_CHUNK, fill), total_points)
 
 
 def _doubling(run, n, points, cap, rel_tol, what, hint, prev=None):
@@ -445,7 +453,7 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | 
         vals = np.asarray(phi.combine(*parts), dtype=float)
         return _weighted(vals, w, np.empty_like(w) if out is None else out)
 
-    return (*_chunk_sums(points, _TENSOR_CHUNK, fill, np.abs), points)
+    return (*_chunk_sums(points, _TENSOR_CHUNK, fill), points)
 
 
 def integrate_box(
@@ -812,7 +820,7 @@ def sublevel_integrand(f, g, y: float):
         inside = g_vals <= y
         vals = np.zeros(pts.shape[0])
         if inside.any():
-            vals[inside] = f(pts[inside])
+            vals[inside] = f(np.compress(inside, pts, axis=0))
         vals[g_vals == y] *= 0.5
         return vals
 
@@ -839,9 +847,14 @@ def monte_carlo_sublevel(
     of _BLOCK samples draws only its own counters, and the
     (value, std_error) pair depends only on the inputs and the seed.  The
     summands of each chunk of _MC_CHUNK samples gather in one buffer,
-    summed by numpy and then squared in place and summed again; the
-    chunks' sums are added by ``math.fsum``, so the block size changes
-    no bit, and the working memory is one block plus that buffer.
+    summed by numpy, then scaled by 2^-e, with 2^e just above the chunk's
+    largest |summand|, squared in place and summed again; the chunks'
+    sums are added by ``math.fsum``, so the block size changes no bit,
+    and the working memory is one block plus that buffer.  The variance
+    is formed in the largest chunk's scale, so std_error reads the spread
+    of summands whose squares are past the double range or below it; in
+    the normal range the scale changes no bit.  A std_error past the
+    double range is EvaluationError.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -870,14 +883,29 @@ def monte_carlo_sublevel(
         out[:] = summand
         return out
 
-    s1, s2 = _chunk_sums(n_samples, _MC_CHUNK, fill, np.square)
-    mean = s1 / n_samples
+    partials, squares = [], []
+    for out in _chunks(n_samples, _MC_CHUNK, fill):
+        partials.append(float(np.sum(out)))
+        # Squared in the scale 2^-power of the chunk's largest |summand|,
+        # so that no square overflows or underflows to 0.
+        power = math.frexp(max(float(out.max()), -float(out.min())))[1]
+        np.ldexp(out, -power, out=out)
+        squares.append((float(np.sum(np.square(out, out=out))), power))
+    mean = math.fsum(partials) / n_samples
     value = box_volume * mean
+    # The variance is formed in the scale 2^-scale, the largest chunk's: a
+    # power of two, so in the normal range every rounding is as unscaled.
+    scale = max((power for s, power in squares if s), default=0)
     if n_samples > 1:
-        variance = max(0.0, (s2 - n_samples * mean * mean) / (n_samples - 1))
+        s2 = math.fsum(math.ldexp(s, 2 * (power - scale)) for s, power in squares)
+        mean_scaled = math.ldexp(mean, -scale)
+        variance = max(0.0, (s2 - n_samples * mean_scaled * mean_scaled) / (n_samples - 1))
     else:
         variance = 0.0
-    std_error = box_volume * math.sqrt(variance / n_samples)
+    try:
+        std_error = math.ldexp(box_volume * math.sqrt(variance / n_samples), scale)
+    except OverflowError:
+        raise EvaluationError("the Monte Carlo std_error is past the double range") from None
     return IntegralEstimate(
         value, std_error, ENGINE_MONTE_CARLO, n_samples, radius, None, std_error
     )

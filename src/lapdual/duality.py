@@ -563,8 +563,11 @@ def final_value_check(problem: SublevelProblem, lam_small: float, spec: Quadratu
     return dual_integral(problem, lam_small, spec).value
 
 
-def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) -> float:
+def laplace_transform_by_quadrature(v_fn: Callable[[np.ndarray], np.ndarray], lam: float) -> float:
     """Direct 1-D quadrature of integral_0^inf v(y) * exp(-lam*y) dy.
+
+    ``v_fn`` maps a 1-D array of y > 0 to the array of v(y); a v(y)
+    beyond the double range is EvaluationError, raised by v_fn or here.
 
     32-node Gauss-Legendre on 64 dyadic panels of [0, Y] and the head
     [0, Y / 2^64] (geometrically refined toward 0, where v typically has
@@ -572,27 +575,41 @@ def laplace_transform_by_quadrature(v_fn: Callable[[float], float], lam: float) 
     tail term v(Y) e^(-lam Y) / lam for the remainder beyond Y.  Y starts
     at 40/lam and doubles, adding the panel [Y, 2Y], while that tail term
     is not negligible against the sum, so Y follows the growth of v.
-    EffortError if it is still not negligible after 64 doublings, and
-    EvaluationError once the sum is past the double range.
+    v_fn is called once on the nodes of the first 65 panels and Y, then
+    once per doubling on the new panel's nodes and 2Y.  EffortError if
+    the tail is still not negligible after 64 doublings, and
+    EvaluationError once the sum, or the next panel, is past the double
+    range.
     """
     if not lam > 0:
         raise InputError(f"lam must be positive, got {lam!r}")
     nodes, weights = gauss_legendre_rule(_TRANSFORM_NODES)
 
-    def panel(lower, upper):
-        mid = 0.5 * (upper + lower)
-        half = 0.5 * (upper - lower)
-        vals = [v_fn(float(t)) * math.exp(-lam * float(t)) for t in mid + half * nodes]
-        return half * float(np.dot(weights, vals))
+    def panels(lowers, uppers):
+        """Each panel's rule sum, and v at the last upper end."""
+        half = 0.5 * (uppers - lowers)
+        # The midpoint lower + half, which overflows no sooner than upper.
+        t = (lowers + half)[:, np.newaxis] + half[:, np.newaxis] * nodes
+        ys = np.append(t, uppers[-1])
+        v = np.asarray(v_fn(ys), dtype=float)
+        if v.shape != ys.shape:
+            raise InputError(f"v_fn returned shape {v.shape}, expected {ys.shape}")
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError("v is not finite at a node of the transform's quadrature")
+        rows = (v[:-1] * np.exp(-lam * ys[:-1])).reshape(t.shape)
+        return [h * float(np.dot(weights, row)) for h, row in zip(half.tolist(), rows)], float(v[-1])
 
     y_top = max(_TAIL_EXPONENT / lam, 1.0)
-    uppers = [y_top * 0.5**i for i in range(_TRANSFORM_PANELS + 1)]
-    pieces = [panel(lower, upper) for upper, lower in zip(uppers, uppers[1:] + [0.0])]
+    uppers = y_top * 0.5 ** np.arange(_TRANSFORM_PANELS, -1, -1.0)
+    pieces, v_top = panels(np.append(0.0, uppers[:-1]), uppers)
     for _ in range(_MAX_TAIL_DOUBLINGS):
-        tail = v_fn(y_top) * math.exp(-lam * y_top) / lam
+        tail = v_top * math.exp(-lam * y_top) / lam
         if abs(tail) <= sys.float_info.epsilon * abs(_transform_sum(pieces, lam)):
             return _transform_sum(pieces + [tail], lam)
-        pieces.append(panel(y_top, 2.0 * y_top))
+        if math.isinf(2.0 * y_top):
+            raise EvaluationError(f"the transform's panel beyond y = {y_top} is past the double range")
+        more, v_top = panels(np.array([y_top]), np.array([2.0 * y_top]))
+        pieces += more
         y_top *= 2.0
     raise EffortError(
         f"the transform's tail beyond y = {y_top} is still not negligible; "

@@ -92,16 +92,22 @@ def multivariate_laplace_monomial(alpha, gamma_vec) -> float:
     return exp_in_range(log_value, "the orthant Laplace transform of x^alpha")
 
 
+def simplex_power_law(alpha) -> tuple[float, float]:
+    """(p, log C) with v(y) = y^p * C / Gamma(1 + p) the integral of x^alpha
+    over {x >= 0 : sum(x) <= y}: p = d + sum(alpha), C = prod Gamma(1 + alpha_i)."""
+    alpha = _validate_alpha(alpha)
+    return len(alpha) + math.fsum(alpha), math.fsum(log_gamma(1.0 + a) for a in alpha)
+
+
 def simplex_monomial_v(alpha, y: float) -> float:
     """Exact integral of x^alpha over {x >= 0 : sum(x) <= y}."""
-    alpha = _validate_alpha(alpha)
+    p, log_coef = simplex_power_law(alpha)
     y = float(y)
     if y < 0:
         raise InputError(f"y must be nonnegative, got {y!r}")
     if y == 0.0:
         return 0.0
-    p = len(alpha) + math.fsum(alpha)
-    return power_over_gamma(y, p, math.fsum(log_gamma(1.0 + a) for a in alpha))
+    return power_over_gamma(y, p, log_coef)
 
 
 def simplex_laplace_of_v(alpha, lam: float) -> float:
@@ -144,7 +150,7 @@ def orthant_monomial_evaluator(alpha):
         for j in range(1, pts.shape[1]):
             mask &= pts[:, j] > 0.0
         if mask.any():
-            powers = pts[mask] ** alpha
+            powers = np.compress(mask, pts, axis=0) ** alpha
             prod = powers[:, 0].copy()
             for j in range(1, powers.shape[1]):
                 prod *= powers[:, j]

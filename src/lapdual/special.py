@@ -4,10 +4,13 @@ Thin wrappers over ``math.gamma`` and ``math.lgamma`` that reject
 nonpositive arguments: every caller in this package has a strictly
 positive argument, so no reflection path is offered.  Also the
 log-space kernel y^p * C / Gamma(1 + p) shared by the closed forms of v,
-and the overflow guard and power-of-two split the log-space results share.
+on one y or on an array of them, and the overflow guard and power-of-two
+split the log-space results share.
 """
 
 import math
+
+import numpy as np
 
 from .errors import EvaluationError, InputError
 
@@ -42,6 +45,21 @@ def power_over_gamma(y: float, p: float, log_coef: float) -> float:
     result; a result beyond the double range raises EvaluationError.
     """
     return exp_in_range(p * math.log(y) + log_coef - log_gamma(1.0 + p), "y^p * C / Gamma(1 + p)")
+
+
+def powers_over_gamma(ys: np.ndarray, p: float, log_coef: float) -> np.ndarray:
+    """``power_over_gamma`` at every y of an array of positive ys, formed in
+    the same order with numpy's log and exp (which may differ from math's
+    by an ulp).  EvaluationError, and no numpy warning, when a value is
+    beyond the double range."""
+    log_values = p * np.log(ys) + log_coef - log_gamma(1.0 + p)
+    with np.errstate(over="ignore"):
+        values = np.exp(log_values)
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError(
+            f"y^p * C / Gamma(1 + p) = exp({np.max(log_values)}) overflows double precision"
+        )
+    return values
 
 
 def exp_in_range(log_value: float, what: str) -> float:

@@ -354,6 +354,36 @@ def test_laplace_check_high_degree_monomial(tmp_path):
         assert float(row.split(",")[3]) <= 1e-10
 
 
+@pytest.mark.parametrize("doc", [dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [38, 0]}]}),
+                                 dict(SIMPLEX, alpha_terms=[{"coef": 2.0, "alpha": [30.0, 0.5]}])],
+                         ids=["x38-over-disc", "simplex"])
+def test_laplace_check_calls_v_once_plus_once_per_tail_doubling(doc, tmp_path, capsys, monkeypatch):
+    # v ~ y^20 and y^32.5: the tail beyond 40/lam is not negligible, so Y doubles.
+    inner = duality.laplace_transform_by_quadrature
+    calls_per_lambda = []
+
+    def counting(v_fn, lam):
+        calls = []
+
+        def counted(ys):
+            calls.append(len(ys))
+            return v_fn(ys)
+
+        calls_per_lambda.append(calls)
+        return inner(counted, lam)
+
+    monkeypatch.setattr(cli, "laplace_transform_by_quadrature", counting)
+    path = write_problem(tmp_path / "p.json", doc)
+    assert main(["laplace-check", "--input", path, "--lambdas", "0.5,1,2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len(calls_per_lambda) == 3
+    for first, *doublings in calls_per_lambda:
+        # The nodes of the 65 first panels and Y, then a panel's nodes and 2Y.
+        assert first == (duality._TRANSFORM_PANELS + 1) * duality._TRANSFORM_NODES + 1
+        assert 1 <= len(doublings) <= duality._MAX_TAIL_DOUBLINGS
+        assert doublings == [duality._TRANSFORM_NODES + 1] * len(doublings)
+
+
 def test_laplace_check_rejects_nonpositive_lambda(tmp_path):
     path = write_problem(tmp_path / "interval.json", INTERVAL)
     proc = run_cli("laplace-check", "--input", path, "--lambdas", "-1")
@@ -425,6 +455,18 @@ X40 = dict(
 )
 
 
+@pytest.mark.parametrize("doc", [X400, dict(SIMPLEX, alpha_terms=[{"coef": 1e300, "alpha": [100.0]}])],
+                         ids=["x400-closed-form", "simplex-coef-times-v"])
+def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_path):
+    # X400's v(y) overflows near the transform's peak; the simplex term's
+    # v(y) fits, 1e300 times it does not.
+    proc = run_cli("laplace-check", "--input", write_problem(tmp_path / "p.json", doc))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "engine error" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "problem, argv, code",
     [
@@ -456,11 +498,16 @@ X40 = dict(
         # ... and integrate, which prints the measurement itself, wrote
         # Infinity, which is not JSON, and exited 0.
         (dict(X40, y=3e29, quadrature={"sample_count": 2000}), ["integrate"], 3),
+        # Its CSV prints only the certificates, which are finite there.
+        (dict(X40, y=3e29, quadrature={"sample_count": 2000}), ["integrate", "--output", "csv"], 0),
+        # At y = 1e-30 v and both direct estimates are subnormal, and printed.
+        (dict(X40, y=1e-30, quadrature={"sample_count": 2000}), ["integrate"], 0),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
          "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits",
-         "sweep-scaled-past-double-range", "integrate-box-indicator-past-double-range"],
+         "sweep-scaled-past-double-range", "integrate-box-indicator-past-double-range",
+         "integrate-csv-near-double-range", "integrate-subnormal-level"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)

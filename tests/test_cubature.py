@@ -275,6 +275,38 @@ def test_sublevel_integrand_runs_f_inside_and_halves_the_level_set():
     assert len(seen) == 1  # no point inside: f does not run
 
 
+def _boolean_index_integrand(f, g, y):
+    """``sublevel_integrand`` with its rows taken by boolean indexing."""
+
+    def integrand(pts):
+        g_vals = np.asarray(g(pts), dtype=float)
+        inside = g_vals <= y
+        vals = np.zeros(pts.shape[0])
+        if inside.any():
+            vals[inside] = f(pts[inside])
+        vals[g_vals == y] *= 0.5
+        return vals
+
+    return integrand
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sublevel_integrand_equals_a_boolean_index_reference(d):
+    gen = np.random.default_rng(d)
+    f = MultiPoly(d, {(0,) * d: -0.25, tuple(gen.integers(0, 4, d)): 1.5, tuple(gen.integers(0, 3, d)): 0.7})
+    g = MultiPoly(d, {tuple(2 * (j == i) for j in range(d)): 1.0 + i for i in range(d)})
+    wide = gen.uniform(-1.0, 1.0, (3000, 2 * d))
+    on_level = float(g(wide[:1, :d])[0])
+    for pts in (wide[:, :d].copy(), wide[:, ::2], wide[::3, :d], np.asfortranarray(wide[:, :d])):
+        g_vals = g(pts)
+        # No row inside, some (one of them on the level set), and all.
+        for y, inside in ((-1.0, 0), (on_level, None), (float(g_vals.max()), len(pts))):
+            got = cubature.sublevel_integrand(f, g, y)(pts)
+            assert got.tobytes() == _boolean_index_integrand(f, g, y)(pts).tobytes()
+            assert inside is None or np.count_nonzero(g_vals <= y) == inside
+    assert 0 < np.count_nonzero(g(wide[:, :d]) <= on_level) < len(wide)
+
+
 def test_gaussian_quadratic_identity_weight():
     spec = QuadratureSpec(nodes_per_axis=16)
     est = integrate_gaussian_quadratic(
@@ -426,6 +458,58 @@ def test_monte_carlo_unbiased_at_scale(disc_g, one_2d):
         if abs(est.value - math.pi) <= 3.0 * est.std_error:
             hits += 1
     assert hits >= 45
+
+
+def test_monte_carlo_std_error_reads_the_spread_at_both_ends_of_the_double_range():
+    # f = x1^40 over x1^4 + x2^4: the box and the samples scale with y, so
+    # std_error / value is the same at every level.  At y = 3e29 the squared
+    # summands overflow, at y = 1e-30 they underflow (both read 0.0 before
+    # each chunk was scaled); at 1e-30 value and std_error are subnormal.
+    f, g = MultiPoly(2, {(40, 0): 1.0}), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})
+    spec = QuadratureSpec(sample_count=2000)
+
+    def spread(y):
+        est = monte_carlo_sublevel(f, g, 2, y, cubature.enclosing_radius(g, y, spec), spec)
+        return est.std_error / est.value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spread(3e29) == pytest.approx(spread(1.0), rel=1e-12)
+        assert spread(1e-30) == pytest.approx(spread(1.0), rel=1e-6)
+
+
+def test_monte_carlo_std_error_scale_changes_no_bit_in_the_normal_range(monkeypatch):
+    # Chunks of 2^14 samples whose largest |summand| 1/|x1| differs by
+    # powers of two: each is squared in its own scale, and the variance is
+    # formed in the largest's, yet every bit is the unscaled formula's.
+    monkeypatch.setattr(cubature, "_MC_CHUNK", 1 << 14)
+    n, dim, radius, seed = 2**17 + 123, 2, 1.0, 9
+
+    def f(pts):
+        return 1.0 / (np.abs(pts[:, 0]) + 1e-12)
+
+    def g(pts):
+        return np.zeros(pts.shape[0])
+
+    est = monte_carlo_sublevel(f, g, dim, 1.0, radius, QuadratureSpec(sample_count=n, seed=seed))
+    summands = f((2.0 * rng.uniforms(seed, 0, n * dim).reshape(n, dim) - 1.0) * radius)
+    chunks = [summands[lo:lo + (1 << 14)] for lo in range(0, n, 1 << 14)]
+    assert len({math.frexp(float(c.max()))[1] for c in chunks}) > 1
+    mean = math.fsum(float(np.sum(c)) for c in chunks) / n
+    s2 = math.fsum(float(np.sum(np.square(c))) for c in chunks)
+    box_volume = (2.0 * radius) ** dim
+    std_error = box_volume * math.sqrt(max(0.0, (s2 - n * mean * mean) / (n - 1)) / n)
+    assert (est.value, est.std_error) == (box_volume * mean, std_error)
+
+
+def test_monte_carlo_refuses_a_std_error_past_the_double_range():
+    # Summands 1e307 on half of a box of volume 400: the spread of the
+    # mean is about 5e308.
+    def f(pts):
+        return np.full(pts.shape[0], 1e307)
+
+    with pytest.raises(EvaluationError, match="std_error"):
+        monte_carlo_sublevel(f, lambda pts: pts[:, 0], 2, 0.0, 10.0, QuadratureSpec(sample_count=16, seed=0))
 
 
 def test_monte_carlo_input_errors(disc_g, one_2d):

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from lapdual import (
     BracketError,
     DualCertificate,
     EffortError,
+    EvaluationError,
     EvaluationNoiseError,
     InputError,
     LapdualError,
@@ -531,11 +533,19 @@ def test_laplace_transform_consistency(interval_problem):
     # y-side quadrature of the analytic v(y) = 2 sqrt(y) versus the
     # whole-space evaluation.
     for lam in (0.5, 1.0, 2.0):
-        lhs = laplace_transform_by_quadrature(lambda y: 2.0 * math.sqrt(y), lam)
+        lhs = laplace_transform_by_quadrature(lambda y: 2.0 * np.sqrt(y), lam)
         rhs = laplace_of_v(interval_problem, lam, SPEC)
         assert lhs == pytest.approx(rhs, rel=1e-6)
         # Closed form: L_v(lam) = sqrt(pi) / lam^(3/2).
         assert lhs == pytest.approx(math.sqrt(math.pi) / lam**1.5, rel=1e-9)
+
+
+def test_transform_quadrature_refuses_a_panel_past_the_double_range():
+    # v(y) e^(-lam y) = 1: Y doubles from 4e307 until 2Y has no double.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="panel beyond"):
+            laplace_transform_by_quadrature(lambda ys: np.exp(1e-306 * ys), 1e-306)
 
 
 def test_phi_is_nonincreasing(disc_problem, interval_problem):

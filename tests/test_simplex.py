@@ -231,3 +231,22 @@ def test_orthant_monomial_zero_rows_and_indicator():
     assert np.all(values[off] == 0.0) and not np.signbit(values[off]).any()
     indicator = orthant_monomial_evaluator((0.0, 0.0, 0.0))(pts)
     assert indicator.tobytes() == np.where(off, 0.0, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_orthant_monomial_equals_a_boolean_index_reference(d):
+    alpha = np.random.default_rng(200 + d).uniform(0.0, 2.5, d)
+    wide = _points(2 * d, 3000, seed=d)
+    # Some rows inside the orthant, all of them, and none.
+    for block, inside in ((wide, None), (np.abs(wide) + 0.5, True), (-np.abs(wide), False)):
+        for pts in (block[:, :d].copy(), block[:, ::2], block[::3, :d], np.asfortranarray(block[:, :d])):
+            mask = np.all(pts > 0.0, axis=1)
+            assert inside is None or mask.all() == inside and mask.any() == inside
+            reference = np.zeros(len(pts))
+            if mask.any():
+                powers = pts[mask] ** alpha
+                prod = powers[:, 0].copy()
+                for j in range(1, d):
+                    prod *= powers[:, j]
+                reference[mask] = prod
+            assert orthant_monomial_evaluator(alpha)(pts).tobytes() == reference.tobytes()
