@@ -123,12 +123,11 @@ def _single_y(pf: ProblemFile, message: str) -> float:
     return pf.y_values[0]
 
 
-def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float, memo: dict | None = None):
+def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     """v(y) and one certificate per dualized piece: a homogeneous
-    component of f in poly mode, an alpha term in simplex mode.  ``memo``
-    is ``v_polynomial``'s."""
+    component of f in poly mode, an alpha term in simplex mode."""
     if pf.mode == "poly":
-        return v_polynomial(pf.problem, y, spec, memo=memo)
+        return v_polynomial(pf.problem, y, spec)
     certs = [
         DualCertificate(
             y,
@@ -251,8 +250,8 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
     exactly on the level set is judged once, at y1.  The first row is the
     measurement itself, and its Monte Carlo value is the independent check
     on the dual; the rest of the column is that one measurement scaled,
-    as v_dual is one sphere sum scaled (the grid shares one memo).  An
-    empty grid runs no estimate.
+    as v_dual is one sphere sum per piece, kept on the problem, scaled.
+    An empty grid runs no estimate.
     """
     if pf.mode == "simplex":
         if len(pf.simplex_poly.terms) != 1:
@@ -262,10 +261,9 @@ def cmd_sweep(pf: ProblemFile, spec: QuadratureSpec, args):
         raise InputError("sweep requires positively homogeneous f and g (or simplex mode)")
     else:
         order = (pf.dim + pf.problem.f_degree) / pf.problem.g_degree
-    memo: dict = {}  # lam-free sums, shared by every level
     rows = []
     for y in pf.y_values:
-        value, certs = _certificates(pf, spec, y, memo)
+        value, certs = _certificates(pf, spec, y)
         if not rows:
             y1, (mc1, box1) = y, _direct_estimates(pf, spec, y)
             mc, box = mc1.value, box1
@@ -310,8 +308,7 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             raise InputError(
                 "laplace-check needs a closed-form v: homogeneous f and g, or simplex mode"
             )
-        memo: dict = {}  # the base and every transform share one sphere sum
-        base = dual_integral(problem, 1.0, spec, memo=memo).value
+        base = dual_integral(problem, 1.0, spec).value
         order = (problem.dim + problem.f_degree) / problem.g_degree
 
         def v_fn(ys):
@@ -320,7 +317,7 @@ def cmd_laplace_check(pf: ProblemFile, spec: QuadratureSpec, args):
             return math.copysign(1.0, base) * powers_over_gamma(ys, order, math.log(abs(base)))
 
         def rhs_fn(lam):
-            return laplace_of_v(problem, lam, spec, memo=memo)
+            return laplace_of_v(problem, lam, spec)
 
     rows = []
     for lam in lambdas:

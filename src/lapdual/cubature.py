@@ -321,12 +321,18 @@ def _chunk_sums(total, chunk, fill):
     """Sums over rows 0 .. total - 1 of the values that ``fill`` forms
     (see ``_chunks``) and of their absolute values: each chunk's two
     partial sums are numpy sums of its values, taken absolute in place
-    between them, and the partials are added with ``math.fsum``."""
+    between them, and the partials are added with ``math.fsum``.  A chunk
+    sum past the double range is inf, for the callers to refuse; partials
+    that ``math.fsum`` cannot add (an overflow, inf - inf) EvaluationError."""
     partials, magnitudes = [], []
     for out in _chunks(total, chunk, fill):
-        partials.append(float(np.sum(out)))
-        magnitudes.append(float(np.sum(np.abs(out, out=out))))
-    return math.fsum(partials), math.fsum(magnitudes)
+        with np.errstate(over="ignore"):
+            partials.append(float(np.sum(out)))
+            magnitudes.append(float(np.sum(np.abs(out, out=out))))
+    try:
+        return math.fsum(partials), math.fsum(magnitudes)
+    except (OverflowError, ValueError):
+        raise EvaluationError("a rule's sum over its nodes is past the double range") from None
 
 
 def _tensor_apply(phi, axes):
@@ -443,10 +449,10 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | 
             memo.clear()
         return _tensor_apply(phi, axes)
     key = ("box", radius, nodes_per_axis)
-    if key not in memo:
+    kept = memo.get(key)  # one read, so that another thread's clear() cannot intervene
+    if kept is None:
         blocks = (_tensor_block(axes, a, min(a + _BLOCK, points)) for a in range(0, points, _BLOCK))
-        memo[key] = [(w, phi.parts(pts)) for pts, w in blocks]
-    kept = memo[key]
+        kept = memo[key] = [(w, phi.parts(pts)) for pts, w in blocks]
 
     def fill(a, b, out):
         w, parts = kept[a // _BLOCK]
@@ -496,8 +502,8 @@ def integrate_box(
         Starting half-width for the automatic enlargement loop.
     memo : dict, optional
         Kept by the caller across calls whose phi are SplitIntegrands with
-        the same ``parts``, as ``find_lambda_for_target`` keeps one for its
-        search, where only lam changes.  Each pass over a grid of at most
+        the same ``parts``, as a SublevelProblem keeps one for the duals
+        of every lam.  Each pass over a grid of at most
         _TENSOR_CHUNK (2^18) points stores its tensor weights and
         phi.parts there, block by block, and a later pass over the same
         grid reuses them; a larger pass empties the memo and runs as
@@ -582,8 +588,6 @@ def integrate_polar(
     d_g: float,
     lam: float,
     spec: QuadratureSpec,
-    *,
-    memo: dict | None = None,
 ) -> IntegralEstimate:
     """Integral of f(x) * exp(-lam * g(x)) over R^dim as a sphere integral.
 
@@ -619,12 +623,6 @@ def integrate_polar(
         Homogeneity degrees of f (k >= 0) and g (d_g > 0).
     lam : float
         Positive weight scale.
-    memo : dict, optional
-        Kept by the caller across calls with the same g, spec and f for
-        each k, as ``find_lambda_for_target`` keeps one for its search.
-        The sphere sum (value, magnitude, evaluations) does not depend on
-        lam, so it is stored under ("polar", k) and later calls only
-        scale it: the same bits as without a memo, ``effort`` included.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -633,10 +631,13 @@ def integrate_polar(
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
     p = (dim + k) / d_g
-    memo = {} if memo is None else memo
-    if ("polar", k) not in memo:
-        memo["polar", k] = _sphere_integral(f, g, dim, p, spec)
-    value, magnitude, effort = memo["polar", k]
+    return polar_estimate(_sphere_integral(f, g, dim, p, spec), p, d_g, lam, spec)
+
+
+def polar_estimate(sums, p: float, d_g: float, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
+    """``integrate_polar``'s estimate from the sphere sums (value, magnitude,
+    evaluations) of f * g^(-p): both times Gamma(p) / (d_g lam^p), in log space."""
+    value, magnitude, effort = sums
     log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
     value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)
     return IntegralEstimate(
@@ -853,8 +854,10 @@ def monte_carlo_sublevel(
     and the working memory is one block plus that buffer.  The variance
     is formed in the largest chunk's scale, so std_error reads the spread
     of summands whose squares are past the double range or below it; in
-    the normal range the scale changes no bit.  A std_error past the
-    double range is EvaluationError.
+    the normal range the scale changes no bit.  Chunk sums whose total
+    overflows are added again scaled by a power of two, so the mean, no
+    larger than a summand, is returned.  A std_error past the double
+    range is EvaluationError.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -891,7 +894,11 @@ def monte_carlo_sublevel(
         power = math.frexp(max(float(out.max()), -float(out.min())))[1]
         np.ldexp(out, -power, out=out)
         squares.append((float(np.sum(np.square(out, out=out))), power))
-    mean = math.fsum(partials) / n_samples
+    try:
+        mean = math.fsum(partials) / n_samples
+    except OverflowError:  # added again in the scale 2^-shift, a power of two: no bit moves
+        shift = n_samples.bit_length()
+        mean = math.ldexp(math.fsum(math.ldexp(s, -shift) for s in partials) / n_samples, shift)
     value = box_volume * mean
     # The variance is formed in the scale 2^-scale, the largest chunk's: a
     # power of two, so in the normal range every rounding is as unscaled.

@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import cubature
 from .cubature import (
     ENGINE_GAUSSIAN,
     ENGINE_POLAR,
@@ -51,7 +52,6 @@ from .cubature import (
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
-    integrate_polar,
     sphere_minimum,
 )
 from .errors import BracketError, EffortError, EvaluationError, EvaluationNoiseError, InputError
@@ -108,6 +108,11 @@ class SublevelProblem:
     ascending in k: ((f_degree, f),) when f has a degree, counted or stated;
     the components of any other MultiPoly (() for zero); None for an opaque
     f with no degree.
+
+    The problem keeps a private store of what ``dual_integral`` computes
+    free of lam (see there).  It lives as long as the problem and is
+    dropped with it; ``dataclasses.replace`` starts a fresh one, and ==,
+    hash and repr ignore it.
     """
 
     dim: int
@@ -116,6 +121,7 @@ class SublevelProblem:
     f_degree: float | None = None
     g_degree: float | None = None
     f_pieces: tuple | None = field(init=False, repr=False, compare=False)
+    _lam_free: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -157,6 +163,7 @@ class SublevelProblem:
         f, k = self.f, self.f_degree
         pieces = tuple(f.homogeneous_components()) if k is None and isinstance(f, MultiPoly) else None
         object.__setattr__(self, "f_pieces", ((k, f),) if k is not None else pieces)
+        object.__setattr__(self, "_lam_free", {})
 
 
 @dataclass(frozen=True)
@@ -250,9 +257,7 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     return Q
 
 
-def dual_integral(
-    problem: SublevelProblem, lam: float, spec: QuadratureSpec, *, memo: dict | None = None
-) -> IntegralEstimate:
+def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
     """Estimate of the whole-space integral of f * exp(-lam * g).
 
     Dispatches on the structure of the data, in this order:
@@ -273,16 +278,16 @@ def dual_integral(
     touch.  The result's ``error_estimate`` is the chosen engine's own;
     certificates and the root search read it.
 
-    ``memo`` is a dict kept across calls on this problem and spec that
-    differ only in lam, as ``find_lambda_for_target`` keeps one for its
-    search.  The polar engine stores each piece's sphere sum there, and
-    the box engine, when its starting radius does not depend on lam, each
-    grid's weights, f and g values for grids of at most 2^18 points (a
-    larger pass empties the memo and runs as without it);
-    g is checked once, when its values are stored.  So f and g are
-    evaluated once per grid rather than once per lam, and the result is
-    the same bits as without a memo.  The Gaussian route does not use it:
-    its moments depend on lam.
+    What does not depend on lam is kept on the problem for every later
+    call: each piece's sphere sum, keyed by (k, spec), and, when the box
+    engine's starting radius does not depend on lam, the weights, f and
+    g values of each grid of at most 2^18 points (a larger pass empties
+    the store and runs as without it); g is checked once, when its
+    values are stored.  So f and g are evaluated once per sphere rule or
+    grid rather than once per lam, and every result is the same bits as
+    on a fresh problem.  The Gaussian route keeps nothing: its moments
+    depend on lam.  An entry is read with one dict operation, so threads
+    may share a problem; a race at worst computes an entry twice.
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
@@ -291,10 +296,15 @@ def dual_integral(
         Q = _quadratic_form_matrix(problem.g)
         if Q is not None:
             return integrate_gaussian_quadratic(problem.f, Q, lam, spec)
-    d_g, pieces = problem.g_degree, problem.f_pieces
+    d_g, pieces, store = problem.g_degree, problem.f_pieces, problem._lam_free
     if d_g is not None and pieces is not None:
-        parts = [integrate_polar(f_j, g_eval, problem.dim, j, d_g, lam, spec, memo=memo)
-                 for j, f_j in pieces]
+        parts = []
+        for k, f_k in pieces:
+            p = (problem.dim + k) / d_g
+            sums = store.get((k, spec))
+            if sums is None:
+                sums = store[k, spec] = cubature._sphere_integral(f_k, g_eval, problem.dim, p, spec)
+            parts.append(cubature.polar_estimate(sums, p, d_g, lam, spec))
         return IntegralEstimate(
             math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
             None, math.fsum(e.magnitude for e in parts), math.fsum(e.error_estimate for e in parts),
@@ -307,7 +317,7 @@ def dual_integral(
         return np.asarray(f_eval(pts), dtype=float), g_vals
 
     phi = SplitIntegrand(f_and_g, lambda f_vals, g_vals: f_vals * np.exp(-lam * g_vals))
-    initial_radius = 1.0
+    initial_radius, memo = 1.0, store
     if d_g is not None:
         # Homogeneity gives a principled starting box: the weight's
         # exponent reaches 40 at the boundary.
@@ -336,27 +346,23 @@ def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y:
     return math.copysign(power_over_gamma(y, p, math.log(abs(base_integral))), base_integral)
 
 
-def v_dual_homogeneous(
-    problem: SublevelProblem, y: float, spec: QuadratureSpec, *, memo: dict | None = None
-) -> DualCertificate:
+def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> DualCertificate:
     """v(y) via the explicit dual value for homogeneous f and g.
 
     Computes lambda_y from the degrees, evaluates the dual integral
     there, and returns the certificate; y * lambda_y equals the dual
-    constant by construction.  ``memo`` goes to ``dual_integral``: one
-    dict kept across levels of the same problem and spec makes the sphere
-    sum run once, with the same bits at every level.
+    constant by construction.
     """
     if problem.f_degree is None or problem.g_degree is None:
         raise InputError("dual evaluation requires homogeneity degrees for both f and g")
     lam = lambda_y_homogeneous(problem.dim, problem.f_degree, problem.g_degree, y)
-    est = dual_integral(problem, lam, spec, memo=memo)
+    est = dual_integral(problem, lam, spec)
     method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
     return DualCertificate(y, lam, est.value, method, est.error_estimate)
 
 
 def v_polynomial(
-    problem: SublevelProblem, y: float, spec: QuadratureSpec, *, memo: dict | None = None
+    problem: SublevelProblem, y: float, spec: QuadratureSpec
 ) -> tuple[float, list[DualCertificate]]:
     """v(y) for f of any sign over homogeneous g, one piece of f at a time.
 
@@ -364,8 +370,6 @@ def v_polynomial(
     lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y and returns the
     ascending-in-k sum, with one certificate per piece.  An f with a degree,
     opaque with a stated one included, is one piece: the problem as it stands.
-    Every piece reads the one ``memo`` (see ``dual_integral``), which keys
-    its sphere sums by k, so a caller may keep it across levels y.
     """
     if problem.f_pieces is None:
         raise InputError("v_polynomial requires a polynomial f or a stated f_degree")
@@ -375,22 +379,20 @@ def v_polynomial(
     total = 0.0
     for k, f_k in problem.f_pieces:
         piece = problem if problem.f_degree is not None else replace(problem, f=f_k, f_degree=k)
-        cert = v_dual_homogeneous(piece, y, spec, memo=memo)
+        object.__setattr__(piece, "_lam_free", problem._lam_free)  # one store, sphere sums keyed by k
+        cert = v_dual_homogeneous(piece, y, spec)
         certificates.append(cert)
         total += cert.v_value
     return total, certificates
 
 
-def laplace_of_v(
-    problem: SublevelProblem, lam: float, spec: QuadratureSpec, *, memo: dict | None = None
-) -> float:
+def laplace_of_v(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> float:
     """Laplace transform of v at lam:
     L_v(lam) = (1/lam) * integral of f * exp(-lam * g) over R^d.
 
-    ``memo`` goes to ``dual_integral``.  EvaluationError when L_v(lam) is
-    past the double range.
+    EvaluationError when L_v(lam) is past the double range.
     """
-    return _transform_sum([dual_integral(problem, lam, spec, memo=memo).value / lam], lam)
+    return _transform_sum([dual_integral(problem, lam, spec).value / lam], lam)
 
 
 def _transform_sum(terms, lam: float) -> float:
@@ -431,12 +433,6 @@ def find_lambda_for_target(
     within the engine's own error estimate or the straddling interval
     is below 1e-10 relative, after at most 100 evaluations; the phi at
     the returned lam is checked against ``spec.rel_tol * target``.
-
-    The search keeps one memo of what does not depend on lam (see
-    ``dual_integral``) and drops it when it returns: each piece's sphere
-    sum, or f and g at each box grid of at most 2^18 points, is evaluated
-    once per search rather than once per phi.  Every phi, and so the
-    returned lam, is the same bits as without it.
     """
     return _find_lambda(problem, target, bracket, spec)[0]
 
@@ -466,11 +462,10 @@ def _find_lambda(
     u_lo, u_hi = math.log(lo), math.log(hi)
     log_target = math.log(target)
     samples: list[_Sample] = []
-    memo: dict = {}  # what does not depend on lam, kept for this search only
 
     def evaluate(u):
         lam = lo if u <= u_lo else hi if u >= u_hi else math.exp(u)
-        est = dual_integral(problem, lam, spec, memo=memo)
+        est = dual_integral(problem, lam, spec)
         phi, err = est.value, est.error_estimate
         for s in samples:
             floor = 4.0 * max(err, s.err, 1e-300)

@@ -396,9 +396,9 @@ def test_integrate_closed_form_is_the_one_dual_integral(tmp_path, capsys, monkey
     inner = duality.dual_integral
     lams = []
 
-    def counting(problem, lam, spec, **memo):
+    def counting(problem, lam, spec):
         lams.append(lam)
-        return inner(problem, lam, spec, **memo)
+        return inner(problem, lam, spec)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     monkeypatch.setattr(cli, "dual_integral", counting)
@@ -551,9 +551,9 @@ def test_find_lambda_integrates_only_inside_the_search(tmp_path, capsys, monkeyp
     inner = duality.dual_integral
     lams = []
 
-    def counting(problem, lam, spec, **memo):
+    def counting(problem, lam, spec):
         lams.append(lam)
-        return inner(problem, lam, spec, **memo)
+        return inner(problem, lam, spec)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     monkeypatch.setattr(cli, "dual_integral", counting)

@@ -512,6 +512,34 @@ def test_monte_carlo_refuses_a_std_error_past_the_double_range():
         monte_carlo_sublevel(f, lambda pts: pts[:, 0], 2, 0.0, 10.0, QuadratureSpec(sample_count=16, seed=0))
 
 
+def test_monte_carlo_adds_chunk_sums_past_the_double_range_in_scale():
+    # Two chunks of 2^19 summands 3.3e302 each sum to 1.73e308, and the two
+    # to past the largest double; their mean is in range, as is the value
+    # over a box of volume 1.  A mean past the range would need a summand
+    # past it, which the engine refuses first.
+    def constant(c):
+        return lambda pts: np.full(pts.shape[0], c)
+
+    def run(c):
+        return monte_carlo_sublevel(constant(c), lambda pts: np.zeros(pts.shape[0]), 1, 1.0, 0.5,
+                                    QuadratureSpec(sample_count=2**20))
+
+    est = run(3.3e302)
+    assert est.value == pytest.approx(3.3e302, rel=1e-15) and est.std_error == 0.0
+    # The same bits as an unbounded exponent: the summands 2^-30 times smaller.
+    assert est.value == math.ldexp(run(math.ldexp(3.3e302, -30)).value, 30)
+
+
+def test_box_pass_sums_past_the_double_range_raise_no_warning():
+    # 1e308 over [-1, 1]: one chunk whose sum is 2e308, inf for the callers
+    # to refuse, with no numpy overflow warning (an error under pytest).
+    assert box_pass(lambda pts: np.full(pts.shape[0], 1e308), 1, 1.0, 8)[:2] == (math.inf, math.inf)
+    # 1024^2 nodes over [-1, 1]^2 take four chunks, each summing about
+    # 1e308: math.fsum overflows adding them, which is EvaluationError.
+    with pytest.raises(EvaluationError, match="past the double range"):
+        box_pass(lambda pts: np.full(pts.shape[0], 1e308), 2, 1.0, 1024)
+
+
 def test_monte_carlo_input_errors(disc_g, one_2d):
     with pytest.raises(InputError):
         monte_carlo_sublevel(one_2d, disc_g, 2, 1.0, 0.0, MC_SPEC)

@@ -1,7 +1,9 @@
 import math
 import sys
+import threading
 import time
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -264,7 +266,7 @@ def test_misstated_degree_is_refused_before_any_pass(monkeypatch):
         shapes.append(p.shape[0])
         return (p[:, 0] ** 2 + p[:, 1] ** 2) ** 1.5
 
-    monkeypatch.setattr(duality, "integrate_polar", None)
+    monkeypatch.setattr(cubature, "_sphere_integral", None)
     with pytest.raises(InputError):
         SublevelProblem(2, lambda p: np.ones(p.shape[0]), g_cubed, f_degree=0, g_degree=2)
     assert shapes == [4, 4]
@@ -447,8 +449,6 @@ def test_v_polynomial_requires_polynomial_f(disc_g):
 
 
 def test_f_pieces_is_the_one_split_of_f(disc_g):
-    from dataclasses import replace
-
     homogeneous = MultiPoly(2, {(2, 0): 1.0, (1, 1): -3.0})
     (piece,) = SublevelProblem(2, homogeneous, disc_g).f_pieces
     assert piece[0] == 2 and piece[1] is homogeneous
@@ -487,8 +487,6 @@ def test_v_polynomial_serves_an_opaque_f_of_stated_degree_as_one_piece(disc_g):
 
 
 def test_polynomial_path_matches_componentwise_duals(disc_g):
-    from dataclasses import replace
-
     f = MultiPoly(2, {(0, 0): 2.0, (2, 0): 1.0, (0, 2): -0.5, (1, 0): 3.0})
     problem = SublevelProblem(2, f, disc_g)
     value, certs = v_polynomial(problem, 1.5, SPEC)
@@ -671,9 +669,9 @@ def _count_phi_evals(monkeypatch):
     lams = []
     inner = duality.dual_integral
 
-    def counting(problem, lam, spec, **memo):
+    def counting(problem, lam, spec):
         lams.append(lam)
-        return inner(problem, lam, spec, **memo)
+        return inner(problem, lam, spec)
 
     monkeypatch.setattr(duality, "dual_integral", counting)
     return lams
@@ -741,8 +739,8 @@ def _record_samples(monkeypatch):
     samples = []
     inner = duality.dual_integral
 
-    def recording(problem, lam, spec, **memo):
-        samples.append((lam, inner(problem, lam, spec, **memo)))
+    def recording(problem, lam, spec):
+        samples.append((lam, inner(problem, lam, spec)))
         return samples[-1][1]
 
     monkeypatch.setattr(duality, "dual_integral", recording)
@@ -750,16 +748,18 @@ def _record_samples(monkeypatch):
 
 
 def _assert_samples_are_fresh_integrals(samples, problem, spec):
-    # The memo changes no bits: each phi of the search is what a call of
-    # its own gives (this module's dual_integral is the unpatched one).
+    # The problem's store changes no bits: each phi of the search is what a
+    # call on a fresh problem gives (this module's dual_integral is the
+    # unpatched one).
     assert len(samples) >= 2
     for lam, est in samples:
-        fresh = dual_integral(problem, lam, spec)
+        fresh = dual_integral(replace(problem), lam, spec)
         assert (est.value, est.magnitude, est.error_estimate, est.effort) == (
             fresh.value, fresh.magnitude, fresh.error_estimate, fresh.effort)
 
 
-def test_find_lambda_evaluates_f_and_g_once_per_box_grid_point(monkeypatch):
+def _radial_problem_seeing_points():
+    """The radial problem, with f and g recording the points they are given."""
     seen = {"f": [], "g": []}
 
     def counted(name, h):
@@ -768,13 +768,21 @@ def test_find_lambda_evaluates_f_and_g_once_per_box_grid_point(monkeypatch):
             return h(pts)
         return evaluator
 
-    problem = SublevelProblem(2, counted("f", _RADIAL_F), counted("g", _RADIAL_G))
-    samples = _record_samples(monkeypatch)
-    find_lambda_for_target(problem, 1.5, (1e-2, 1e2), _RADIAL_SPEC)
-    assert {est.engine for _, est in samples} == {"box-gauss-legendre"}
+    return SublevelProblem(2, counted("f", _RADIAL_F), counted("g", _RADIAL_G)), seen
+
+
+def _assert_each_point_seen_once(seen):
     for name, calls in seen.items():
         pts = np.concatenate(calls)
         assert np.unique(pts, axis=0).shape[0] == pts.shape[0], name
+
+
+def test_find_lambda_evaluates_f_and_g_once_per_box_grid_point(monkeypatch):
+    problem, seen = _radial_problem_seeing_points()
+    samples = _record_samples(monkeypatch)
+    find_lambda_for_target(problem, 1.5, (1e-2, 1e2), _RADIAL_SPEC)
+    assert {est.engine for _, est in samples} == {"box-gauss-legendre"}
+    _assert_each_point_seen_once(seen)
     _assert_samples_are_fresh_integrals(samples, problem, _RADIAL_SPEC)
 
 
@@ -794,10 +802,86 @@ def test_find_lambda_runs_each_sphere_sum_once(quartic_g, monkeypatch):
     find_lambda_for_target(problem, 2.0, (1e-3, 1e3), SPEC)
     in_search = sum(points)
     assert {est.engine for _, est in samples} == {"polar"}
+    fresh = replace(problem)
     points.clear()
-    dual_integral(problem, samples[0][0], SPEC)
+    dual_integral(fresh, samples[0][0], SPEC)
     assert in_search == sum(points) > 0
     _assert_samples_are_fresh_integrals(samples, problem, SPEC)
+
+
+def _hexes(est):
+    return tuple(float(x).hex() for x in (est.value, est.magnitude, est.error_estimate, est.effort))
+
+
+def test_a_problem_runs_each_sphere_sum_once_over_separate_calls(quartic_g, monkeypatch):
+    # Two pieces of f, three lam, then two levels y of v_polynomial, whose
+    # pieces read the problem's sums: one sphere integral per piece in all.
+    calls = []
+    inner = cubature._sphere_integral
+
+    def counting(f, g, dim, p, spec):
+        calls.append(p)
+        return inner(f, g, dim, p, spec)
+
+    problem = SublevelProblem(2, MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.3, (0, 0): 1.0}), quartic_g)
+    monkeypatch.setattr(cubature, "_sphere_integral", counting)
+    ests = [dual_integral(problem, lam, SPEC) for lam in (0.5, 1.0, 4.0)]
+    assert sorted(calls) == [0.5, 1.0]  # p = (2 + k) / 4 for k = 0 and 2
+    v_polynomial(problem, 1.5, SPEC)
+    v_polynomial(problem, 3.0, SPEC)
+    assert len(calls) == 2
+    for lam, est in zip((0.5, 1.0, 4.0), ests):
+        assert _hexes(est) == _hexes(dual_integral(replace(problem), lam, SPEC))
+
+
+def test_a_problem_evaluates_f_and_g_once_per_box_grid_over_separate_calls(monkeypatch):
+    problem, seen = _radial_problem_seeing_points()
+    samples = _record_samples(monkeypatch)
+    for lam in (0.3, 1.0, 3.0):
+        duality.dual_integral(problem, lam, _RADIAL_SPEC)
+    assert {est.engine for _, est in samples} == {"box-gauss-legendre"}
+    _assert_each_point_seen_once(seen)
+    _assert_samples_are_fresh_integrals(samples, problem, _RADIAL_SPEC)
+
+
+def test_replace_starts_an_empty_store_that_comparisons_ignore(quartic_g):
+    problem = SublevelProblem(2, MultiPoly(2, {(2, 0): 1.0, (0, 0): 1.0}), quartic_g)
+    fresh = replace(problem)
+    dual_integral(problem, 1.0, SPEC)
+    assert problem._lam_free and not replace(problem)._lam_free
+    assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
+    assert "_lam_free" not in repr(problem)
+
+
+@pytest.mark.parametrize("make, spec", [
+    (lambda: SublevelProblem(2, _RADIAL_F, _RADIAL_G), _RADIAL_SPEC),
+    (lambda: SublevelProblem(2, MultiPoly(2, {(2, 0): 1.0, (0, 0): 1.0}),
+                             MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.9})), SPEC),
+], ids=["box", "polar"])
+def test_threads_sharing_a_problem_give_the_single_thread_bits(make, spec):
+    # More threads than cores, switching often, fill and read one store.
+    lams = (0.3, 1.0, 3.0, 0.3)
+    expected = [_hexes(dual_integral(make(), lam, spec)) for lam in lams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            problem, got = make(), [None] * len(lams)
+            start = threading.Barrier(len(lams), timeout=60)
+
+            def run(i):
+                start.wait()
+                got[i] = _hexes(dual_integral(problem, lams[i], spec))
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(lams))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("problem, target, bracket, lam_hex", [
