@@ -288,7 +288,7 @@ def _weighted(vals, w, out):
         )
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand returned a non-finite value at a quadrature node")
-    return np.multiply(w, vals, out=out)
+    np.multiply(w, vals, out=out)
 
 
 def _chunks(total, chunk, fill):
@@ -296,20 +296,15 @@ def _chunks(total, chunk, fill):
     at a time: the one block loop of every engine.
 
     ``fill(a, b, out)`` forms the values of rows a .. b - 1, at most
-    _BLOCK of them, in ``out`` and returns it; ``out`` is None only when
-    the whole call is one block, and fill then forms them in an array of
-    its own.  The rows are cut into consecutive chunks of ``chunk``, and
-    the blocks of a chunk fill one chunk-sized buffer, reused by every
-    chunk: each value yielded is that chunk's values, which the caller
-    may overwrite.  So what a caller sums per chunk depends on the chunk
-    and never on the block size.
+    _BLOCK of them, in ``out``.  The rows are cut into consecutive chunks
+    of ``chunk``, and the blocks of a chunk fill one buffer of
+    min(chunk, total) values, reused by every chunk: each value yielded is
+    that chunk's values, which the caller may overwrite.  So what a caller
+    sums per chunk depends on the chunk and never on the block size.
     """
-    buf = None if total <= _BLOCK else np.empty(min(chunk, total))
+    buf = np.empty(min(chunk, total))
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        if buf is None:
-            yield fill(lo, hi, None)
-            continue
         out = buf[:hi - lo]
         for a in range(lo, hi, _BLOCK):
             b = min(a + _BLOCK, hi)
@@ -355,7 +350,7 @@ def _tensor_apply(phi, axes):
 
     def fill(a, b, out):
         pts, w = _tensor_block(axes, a, b)
-        return _weighted(np.asarray(phi(pts), dtype=float), w, w if out is None else out)
+        _weighted(np.asarray(phi(pts), dtype=float), w, out)
 
     return (*_chunk_sums(total_points, _TENSOR_CHUNK, fill), total_points)
 
@@ -369,7 +364,8 @@ def _doubling(run, n, points, cap, rel_tol, what, hint, prev=None):
     yield two values runs no pass.  Returns (value, magnitude,
     evaluations, m) of the agreeing pass, the evaluations summed over all
     passes; else EffortError naming ``what``, plus ``hint`` when passes
-    ran and disagreed.
+    ran and disagreed.  A pass whose value or magnitude is past the double
+    range raises EvaluationError, since no later pass can agree with it.
     """
     sizes = []
     while points(n << len(sizes)) <= cap:
@@ -382,6 +378,8 @@ def _doubling(run, n, points, cap, rel_tol, what, hint, prev=None):
     effort = 0
     for m in sizes:
         cur, magnitude, used = run(m)
+        if not (math.isfinite(cur) and math.isfinite(magnitude)):
+            raise EvaluationError(f"{what}: the sum of its {m}-node pass is past the double range")
         effort += used
         if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), magnitude, 1e-300):
             return cur, magnitude, effort, m
@@ -456,8 +454,7 @@ def box_pass(phi, dim: int, radius: float, nodes_per_axis: int, *, memo: dict | 
 
     def fill(a, b, out):
         w, parts = kept[a // _BLOCK]
-        vals = np.asarray(phi.combine(*parts), dtype=float)
-        return _weighted(vals, w, np.empty_like(w) if out is None else out)
+        _weighted(np.asarray(phi.combine(*parts), dtype=float), w, out)
 
     return (*_chunk_sums(points, _TENSOR_CHUNK, fill), points)
 
@@ -849,15 +846,15 @@ def monte_carlo_sublevel(
     (value, std_error) pair depends only on the inputs and the seed.  The
     summands of each chunk of _MC_CHUNK samples gather in one buffer,
     summed by numpy, then scaled by 2^-e, with 2^e just above the chunk's
-    largest |summand|, squared in place and summed again; the chunks'
-    sums are added by ``math.fsum``, so the block size changes no bit,
+    largest |summand|, summed, squared in place and summed again; the
+    chunks' sums are added by ``math.fsum``, so the block size changes no bit,
     and the working memory is one block plus that buffer.  The variance
     is formed in the largest chunk's scale, so std_error reads the spread
     of summands whose squares are past the double range or below it; in
-    the normal range the scale changes no bit.  Chunk sums whose total
-    overflows are added again scaled by a power of two, so the mean, no
-    larger than a summand, is returned.  A std_error past the double
-    range is EvaluationError.
+    the normal range the scale changes no bit.  When a chunk's sum or
+    their total overflows, the chunks' scaled sums are added in that
+    scale instead, so the mean, no larger than a summand, is returned.  A
+    std_error past the double range is EvaluationError.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -881,30 +878,28 @@ def monte_carlo_sublevel(
         summand = integrand((2.0 * u - 1.0) * radius)
         if not np.all(np.isfinite(summand)):
             raise EvaluationError("integrand returned a non-finite value at a sample point")
-        if out is None:
-            return summand
         out[:] = summand
-        return out
 
-    partials, squares = [], []
+    partials, scaled = [], []
     for out in _chunks(n_samples, _MC_CHUNK, fill):
-        partials.append(float(np.sum(out)))
-        # Squared in the scale 2^-power of the chunk's largest |summand|,
-        # so that no square overflows or underflows to 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            partials.append(float(np.sum(out)))
+        # Summed and squared again in the scale 2^-power of the chunk's largest
+        # |summand|, where no sum overflows and no square overflows or underflows to 0.
         power = math.frexp(max(float(out.max()), -float(out.min())))[1]
         np.ldexp(out, -power, out=out)
-        squares.append((float(np.sum(np.square(out, out=out))), power))
+        scaled.append((float(np.sum(out)), float(np.sum(np.square(out, out=out))), power))
+    # The largest chunk's scale: a power of two, so in the normal range every rounding is as unscaled.
+    scale = max((power for _, s, power in scaled if s), default=0)
     try:
         mean = math.fsum(partials) / n_samples
-    except OverflowError:  # added again in the scale 2^-shift, a power of two: no bit moves
-        shift = n_samples.bit_length()
-        mean = math.ldexp(math.fsum(math.ldexp(s, -shift) for s in partials) / n_samples, shift)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        mean = math.inf
+    if not math.isfinite(mean):  # a sum overflowed: the chunks are added again in the scale 2^-scale
+        mean = math.ldexp(math.fsum(math.ldexp(t, e - scale) for t, _, e in scaled) / n_samples, scale)
     value = box_volume * mean
-    # The variance is formed in the scale 2^-scale, the largest chunk's: a
-    # power of two, so in the normal range every rounding is as unscaled.
-    scale = max((power for s, power in squares if s), default=0)
     if n_samples > 1:
-        s2 = math.fsum(math.ldexp(s, 2 * (power - scale)) for s, power in squares)
+        s2 = math.fsum(math.ldexp(s, 2 * (power - scale)) for _, s, power in scaled)
         mean_scaled = math.ldexp(mean, -scale)
         variance = max(0.0, (s2 - n_samples * mean_scaled * mean_scaled) / (n_samples - 1))
     else:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -55,6 +55,7 @@ from .cubature import (
     sphere_minimum,
 )
 from .errors import BracketError, EffortError, EvaluationError, EvaluationNoiseError, InputError
+from .errors import UnboundedSublevelError
 from .polyalg import MultiPoly
 from .special import log_gamma, power_over_gamma
 
@@ -109,10 +110,11 @@ class SublevelProblem:
     the components of any other MultiPoly (() for zero); None for an opaque
     f with no degree.
 
-    The problem keeps a private store of what ``dual_integral`` computes
-    free of lam (see there).  It lives as long as the problem and is
-    dropped with it; ``dataclasses.replace`` starts a fresh one, and ==,
-    hash and repr ignore it.
+    Two private fields are derived too, and kept as long as the problem:
+    ``_gaussian_q``, the read-only Q with g(x) = x'Qx when g is a
+    positive-definite quadratic form (else None), and a store of what the
+    duals compute free of lam (see ``_piece_dual``).  ``dataclasses.replace``
+    derives both afresh, and ==, hash and repr ignore them.
     """
 
     dim: int
@@ -121,6 +123,7 @@ class SublevelProblem:
     f_degree: float | None = None
     g_degree: float | None = None
     f_pieces: tuple | None = field(init=False, repr=False, compare=False)
+    _gaussian_q: np.ndarray | None = field(init=False, repr=False, compare=False)
     _lam_free: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,6 +166,8 @@ class SublevelProblem:
         f, k = self.f, self.f_degree
         pieces = tuple(f.homogeneous_components()) if k is None and isinstance(f, MultiPoly) else None
         object.__setattr__(self, "f_pieces", ((k, f),) if k is not None else pieces)
+        q = _quadratic_form_matrix(self.g) if isinstance(self.g, MultiPoly) else None
+        object.__setattr__(self, "_gaussian_q", q)
         object.__setattr__(self, "_lam_free", {})
 
 
@@ -238,7 +243,7 @@ def _checked_g(problem: SublevelProblem):
 
 
 def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
-    """Q with g(x) = x'Qx when g is a positive-definite quadratic form."""
+    """Q, read-only, with g(x) = x'Qx when g is a positive-definite quadratic form."""
     if g.homogeneity_degree() != 2:
         return None
     dim = g.dim
@@ -254,7 +259,30 @@ def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
         np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         return None
+    Q.setflags(write=False)
     return Q
+
+
+def _piece_dual(problem: SublevelProblem, k, f_k, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
+    """The integral of f_k * exp(-lam * g) for one piece (k, f_k) of
+    ``problem.f_pieces``, g homogeneous: the Gaussian-weight rule on
+    ``problem._gaussian_q`` when there is one, else the polar engine on
+    the sphere sum of f_k * g^(-p), p = (dim + k)/d_g, with g checked for
+    nonnegativity at every node.
+
+    That sum does not depend on lam, so the problem's store keeps it under
+    (k, spec) for every later call, and every result is the same bits as on
+    a fresh problem.  An entry is read with one dict operation, so threads
+    may share a problem; a race at worst computes an entry twice.
+    """
+    if problem._gaussian_q is not None:
+        return integrate_gaussian_quadratic(f_k, problem._gaussian_q, lam, spec)
+    d_g, store = problem.g_degree, problem._lam_free
+    p = (problem.dim + k) / d_g
+    sums = store.get((k, spec))
+    if sums is None:
+        sums = store[k, spec] = cubature._sphere_integral(f_k, _checked_g(problem), problem.dim, p, spec)
+    return cubature.polar_estimate(sums, p, d_g, lam, spec)
 
 
 def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
@@ -264,13 +292,13 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
 
     1. g a positive-definite quadratic form: the Gaussian-weight rule.
     2. ``problem.g_degree`` known, and ``problem.f_pieces`` too, in any
-       dim: the polar engine, one integral over the unit sphere per piece
-       of f, summed in ascending degree by ``math.fsum`` (a zero f:
-       exactly 0.0, no evaluation).  Stated degrees were checked when the
-       problem was built.
+       dim: ``_piece_dual`` of each piece of f, summed in ascending
+       degree by ``math.fsum`` (a zero f: exactly 0.0, no evaluation).
+       Stated degrees were checked when the problem was built.
     3. Anything else (an opaque f or a g of no degree): box Gauss-Legendre
-       with an automatic radius; the initial radius puts the weight's
-       boundary exponent at 40 when g has a degree and a positive sphere minimum.
+       with an automatic radius.  When g has a degree, the initial radius
+       puts the weight's boundary exponent at 40, and a g whose sampled
+       sphere minimum is not positive raises UnboundedSublevelError.
 
     Every engine gets ``spec`` unchanged; the box engine chooses and
     verifies its own box, so ``spec.box_radius`` is not used.  g is
@@ -278,54 +306,39 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     touch.  The result's ``error_estimate`` is the chosen engine's own;
     certificates and the root search read it.
 
-    What does not depend on lam is kept on the problem for every later
-    call: each piece's sphere sum, keyed by (k, spec), and, when the box
-    engine's starting radius does not depend on lam, the weights, f and
-    g values of each grid of at most 2^18 points (a larger pass empties
-    the store and runs as without it); g is checked once, when its
-    values are stored.  So f and g are evaluated once per sphere rule or
-    grid rather than once per lam, and every result is the same bits as
-    on a fresh problem.  The Gaussian route keeps nothing: its moments
-    depend on lam.  An entry is read with one dict operation, so threads
-    may share a problem; a race at worst computes an entry twice.
+    When g has no degree, the box's starting radius does not depend on
+    lam, so the problem's store keeps the weights, f and g values of each
+    grid of at most 2^18 points for every later call, as ``_piece_dual``
+    keeps sphere sums (a larger pass empties the store and runs as
+    without it); g is checked once, when its values are stored.
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
-    g_eval = _checked_g(problem)
-    if isinstance(problem.g, MultiPoly):
-        Q = _quadratic_form_matrix(problem.g)
-        if Q is not None:
-            return integrate_gaussian_quadratic(problem.f, Q, lam, spec)
-    d_g, pieces, store = problem.g_degree, problem.f_pieces, problem._lam_free
+    if problem._gaussian_q is not None:
+        return integrate_gaussian_quadratic(problem.f, problem._gaussian_q, lam, spec)
+    d_g, pieces = problem.g_degree, problem.f_pieces
     if d_g is not None and pieces is not None:
-        parts = []
-        for k, f_k in pieces:
-            p = (problem.dim + k) / d_g
-            sums = store.get((k, spec))
-            if sums is None:
-                sums = store[k, spec] = cubature._sphere_integral(f_k, g_eval, problem.dim, p, spec)
-            parts.append(cubature.polar_estimate(sums, p, d_g, lam, spec))
+        parts = [_piece_dual(problem, k, f_k, lam, spec) for k, f_k in pieces]
         return IntegralEstimate(
             math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
             None, math.fsum(e.magnitude for e in parts), math.fsum(e.error_estimate for e in parts),
         )
 
-    f_eval = problem.f
+    f_eval, g_eval = problem.f, _checked_g(problem)
 
     def f_and_g(pts):
         g_vals = g_eval(pts)
         return np.asarray(f_eval(pts), dtype=float), g_vals
 
     phi = SplitIntegrand(f_and_g, lambda f_vals, g_vals: f_vals * np.exp(-lam * g_vals))
-    initial_radius, memo = 1.0, store
-    if d_g is not None:
-        # Homogeneity gives a principled starting box: the weight's
-        # exponent reaches 40 at the boundary.
-        m_hat = sphere_minimum(problem.g, problem.dim)
-        if m_hat > 0:
-            initial_radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
-            memo = None  # the grids move with lam, so no pass would be reused
-    return integrate_box(phi, problem.dim, spec, initial_radius=initial_radius, memo=memo)
+    if d_g is None:
+        return integrate_box(phi, problem.dim, spec, memo=problem._lam_free)
+    # Homogeneity gives a principled starting box: the weight's exponent reaches 40 at its boundary.
+    m_hat = sphere_minimum(problem.g, problem.dim)
+    if m_hat <= 0:
+        raise UnboundedSublevelError(f"g is not positive away from the origin (sphere minimum {m_hat})")
+    radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
+    return integrate_box(phi, problem.dim, spec, initial_radius=radius)
 
 
 def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y: float) -> float:
@@ -349,16 +362,13 @@ def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y:
 def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> DualCertificate:
     """v(y) via the explicit dual value for homogeneous f and g.
 
-    Computes lambda_y from the degrees, evaluates the dual integral
-    there, and returns the certificate; y * lambda_y equals the dual
-    constant by construction.
+    f has a degree, so it is one piece: this is ``v_polynomial``'s one
+    certificate, at lambda_y from the degrees, and y * lambda_y equals the
+    dual constant by construction.
     """
     if problem.f_degree is None or problem.g_degree is None:
         raise InputError("dual evaluation requires homogeneity degrees for both f and g")
-    lam = lambda_y_homogeneous(problem.dim, problem.f_degree, problem.g_degree, y)
-    est = dual_integral(problem, lam, spec)
-    method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
-    return DualCertificate(y, lam, est.value, method, est.error_estimate)
+    return v_polynomial(problem, y, spec)[1][0]
 
 
 def v_polynomial(
@@ -366,10 +376,10 @@ def v_polynomial(
 ) -> tuple[float, list[DualCertificate]]:
     """v(y) for f of any sign over homogeneous g, one piece of f at a time.
 
-    Dualizes each of ``problem.f_pieces`` (k, f_k) with its own
-    lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y and returns the
+    Dualizes each of ``problem.f_pieces`` (k, f_k) by ``_piece_dual`` at its
+    own lambda_{y,k} = Gamma(1 + (d+k)/d_g)^(d_g/(d+k)) / y and returns the
     ascending-in-k sum, with one certificate per piece.  An f with a degree,
-    opaque with a stated one included, is one piece: the problem as it stands.
+    opaque with a stated one included, is one piece: f itself.
     """
     if problem.f_pieces is None:
         raise InputError("v_polynomial requires a polynomial f or a stated f_degree")
@@ -378,11 +388,11 @@ def v_polynomial(
     certificates = []
     total = 0.0
     for k, f_k in problem.f_pieces:
-        piece = problem if problem.f_degree is not None else replace(problem, f=f_k, f_degree=k)
-        object.__setattr__(piece, "_lam_free", problem._lam_free)  # one store, sphere sums keyed by k
-        cert = v_dual_homogeneous(piece, y, spec)
-        certificates.append(cert)
-        total += cert.v_value
+        lam = lambda_y_for_order((problem.dim + k) / problem.g_degree, y)
+        est = _piece_dual(problem, k, f_k, lam, spec)
+        method = METHOD_DUAL_GAUSSIAN if est.engine == ENGINE_GAUSSIAN else METHOD_DUAL_CUBATURE
+        certificates.append(DualCertificate(y, lam, est.value, method, est.error_estimate))
+        total += est.value
     return total, certificates
 
 

@@ -393,15 +393,14 @@ def test_laplace_check_rejects_nonpositive_lambda(tmp_path):
 def test_integrate_closed_form_is_the_one_dual_integral(tmp_path, capsys, monkeypatch):
     # For homogeneous f the closed form and the dual are one sphere
     # integral: integrate runs it once and labels it twice.
-    inner = duality.dual_integral
+    inner = duality._piece_dual
     lams = []
 
-    def counting(problem, lam, spec):
+    def counting(problem, k, f_k, lam, spec):
         lams.append(lam)
-        return inner(problem, lam, spec)
+        return inner(problem, k, f_k, lam, spec)
 
-    monkeypatch.setattr(duality, "dual_integral", counting)
-    monkeypatch.setattr(cli, "dual_integral", counting)
+    monkeypatch.setattr(duality, "_piece_dual", counting)
     doc = dict(DISC, f={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 0.3, "exps": [1, 1]}]},
                g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]},
                                       {"coef": -1.925, "exps": [2, 2]}]},

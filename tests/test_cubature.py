@@ -530,6 +530,31 @@ def test_monte_carlo_adds_chunk_sums_past_the_double_range_in_scale():
     assert est.value == math.ldexp(run(math.ldexp(3.3e302, -30)).value, 30)
 
 
+def test_monte_carlo_adds_a_chunk_sum_past_the_double_range_in_scale():
+    # Each chunk of 2^19 summands 1e307 sums past the largest double, so the
+    # chunks are added again in their own scale; no numpy overflow warning
+    # (an error under pytest) is written, and the mean, 1e307, is returned.
+    est = monte_carlo_sublevel(lambda pts: np.full(pts.shape[0], 1e307), lambda pts: np.zeros(pts.shape[0]),
+                               1, 1.0, 0.5, QuadratureSpec(sample_count=2**20))
+    assert est.value == pytest.approx(1e307, rel=1e-15)
+    assert math.isfinite(est.std_error) and est.std_error <= 1e-9 * est.value
+
+
+def test_doubling_refuses_a_pass_past_the_double_range():
+    # The integral, 1.5e308 * sqrt(pi), is past the double range: the first
+    # pass says so, where passes whose sums were inf never agreed and ran up
+    # to the cap before an EffortError.
+    calls = []
+
+    def phi(pts):
+        calls.append(pts.shape[0])
+        return 1.5e308 * np.exp(-pts[:, 0] ** 2)
+
+    with pytest.raises(EvaluationError, match="16-node pass is past the double range"):
+        integrate_box(phi, 1, QuadratureSpec(nodes_per_axis=16))
+    assert calls == [16]
+
+
 def test_box_pass_sums_past_the_double_range_raise_no_warning():
     # 1e308 over [-1, 1]: one chunk whose sum is 2e308, inf for the callers
     # to refuse, with no numpy overflow warning (an error under pytest).

@@ -853,6 +853,68 @@ def test_replace_starts_an_empty_store_that_comparisons_ignore(quartic_g):
     assert "_lam_free" not in repr(problem)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one on each call of ``owner.name``."""
+    calls, inner = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("g", [
+    MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0, (2, 2): -1.925}),  # the fig1 quartic: polar
+    MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}),  # the disc: Gaussian weight
+], ids=["fig1-quartic", "disc"])
+def test_v_polynomial_builds_no_piece_problem(g, monkeypatch):
+    problem = SublevelProblem(2, MultiPoly(2, {(0, 0): 1.0, (1, 0): 3.0, (2, 0): 1.0, (1, 1): 0.3}), g)
+    assert [k for k, _ in problem.f_pieces] == [0, 1, 2]
+    fresh = replace(problem)
+    built = _count_calls(monkeypatch, SublevelProblem, "__post_init__")
+    value, certs = v_polynomial(problem, 1.5, SPEC)
+    assert built == [] and len(certs) == 3 and value == sum(c.v_value for c in certs)
+    monkeypatch.undo()
+    # Each certificate is its piece's own problem dualized at its own lambda_{y,k}.
+    for (k, f_k), cert in zip(problem.f_pieces, certs):
+        alone = v_dual_homogeneous(SublevelProblem(2, f_k, g, f_degree=k), 1.5, SPEC)
+        assert alone == cert
+    assert v_polynomial(fresh, 1.5, SPEC) == (value, certs)
+
+
+def test_a_problem_finds_its_gaussian_form_once(disc_g, quartic_g, monkeypatch):
+    built = _count_calls(monkeypatch, duality, "_quadratic_form_matrix")
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), disc_g)
+    assert len(built) == 1
+    np.testing.assert_array_equal(problem._gaussian_q, np.eye(2))
+    assert not problem._gaussian_q.flags.writeable
+    ests = [dual_integral(problem, lam, SPEC) for lam in (0.5, 1.0, 4.0)]
+    assert len(built) == 1
+    assert {est.engine for est in ests} == {"gaussian-quadratic"}
+    assert [est.value for est in ests] == pytest.approx([2 * math.pi, math.pi, math.pi / 4], rel=1e-14)
+    # Derived, so replace finds it again, and it takes no part in ==, hash or repr.
+    fresh = replace(problem)
+    assert len(built) == 2 and fresh._gaussian_q is not problem._gaussian_q
+    assert replace(problem, g=quartic_g, g_degree=4)._gaussian_q is None
+    assert SublevelProblem(2, MultiPoly.constant(2, 1.0), lambda p: disc_g(p), g_degree=2)._gaussian_q is None
+    assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
+    assert "_gaussian_q" not in repr(problem)
+
+
+def test_box_route_refuses_a_g_of_degree_that_vanishes_on_a_ray(monkeypatch):
+    # An opaque f takes the box route; g = x1^2 vanishes on the x2 axis, so
+    # its sublevel sets are unbounded and no box can hold the integral.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box engine ran")
+
+    monkeypatch.setattr(duality, "integrate_box", refuse)
+    problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), MultiPoly(2, {(2, 0): 1.0}))
+    with pytest.raises(UnboundedSublevelError, match="sphere minimum 0.0"):
+        dual_integral(problem, 1.0, SPEC)
+
+
 @pytest.mark.parametrize("make, spec", [
     (lambda: SublevelProblem(2, _RADIAL_F, _RADIAL_G), _RADIAL_SPEC),
     (lambda: SublevelProblem(2, MultiPoly(2, {(2, 0): 1.0, (0, 0): 1.0}),
