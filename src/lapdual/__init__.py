@@ -27,11 +27,8 @@ from .cubature import (
 from .duality import (
     DualCertificate,
     SublevelProblem,
-    dual_constant,
     dual_integral,
-    final_value_check,
     find_lambda_for_target,
-    initial_value_check,
     lambda_y_for_order,
     lambda_y_homogeneous,
     laplace_of_v,
@@ -89,15 +86,12 @@ __all__ = [
     "UnboundedSublevelError",
     "auto_enclosing_radius",
     "box_pass",
-    "dual_constant",
     "dual_integral",
-    "final_value_check",
     "find_lambda_for_target",
     "gamma",
     "gauss_hermite_rule",
     "gauss_legendre_rule",
     "generalized_polynomial_v",
-    "initial_value_check",
     "integrate_box",
     "integrate_gaussian_quadratic",
     "integrate_polar",

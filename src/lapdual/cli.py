@@ -49,6 +49,7 @@ from .problemfile import ProblemFile, load_problem_file
 from .simplex import (
     generalized_polynomial_v,
     orthant_monomial_evaluator,
+    simplex_box_indicator,
     simplex_gauge,
     simplex_laplace_of_v,
     simplex_monomial_v,
@@ -143,11 +144,16 @@ def _certificates(pf: ProblemFile, spec: QuadratureSpec, y: float):
 
 def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
     """The Monte Carlo estimate of v(y) and the box-indicator value, one
-    box pass of ``sublevel_integrand``, over one enclosing box."""
+    tensor pass of f * 1{g <= y} with ``min(nodes_per_axis,
+    max_box_nodes(d))`` nodes per axis, over one enclosing box.  In poly
+    mode the pass is ``box_pass`` of ``sublevel_integrand``; in simplex
+    mode it is ``simplex_box_indicator``, which sums the same nodes by
+    rows of prefix sums."""
+    nodes = min(spec.nodes_per_axis, max_box_nodes(pf.dim))
     if pf.mode == "simplex":
         terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in pf.simplex_poly.terms]
-        # The simplex at level y fills a corner of [0, y]^d: both estimates
-        # sample [-y/2, y/2]^d, with the evaluators shifted onto [0, y]^d.
+        # The simplex at level y fills a corner of [0, y]^d: Monte Carlo
+        # samples [-y/2, y/2]^d, with the evaluators shifted onto [0, y]^d.
         radius = 0.5 * y
 
         def f(pts):
@@ -160,11 +166,11 @@ def _direct_estimates(pf: ProblemFile, spec: QuadratureSpec, y: float):
         def g(pts):  # the gauge is linear: no shifted copy of every point
             return simplex_gauge(pts) + pf.dim * radius
 
-    else:
-        f, g, radius = pf.problem.f, pf.problem.g, enclosing_radius(pf.problem.g, y, spec)
+        mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, spec)
+        return mc, simplex_box_indicator(pf.simplex_poly, y, nodes)
+    f, g, radius = pf.problem.f, pf.problem.g, enclosing_radius(pf.problem.g, y, spec)
     mc = monte_carlo_sublevel(f, g, pf.dim, y, radius, spec)
-    box, _, _ = box_pass(sublevel_integrand(f, g, y), pf.dim, radius,
-                         min(spec.nodes_per_axis, max_box_nodes(pf.dim)))
+    box, _, _ = box_pass(sublevel_integrand(f, g, y), pf.dim, radius, nodes)
     return mc, box
 
 

@@ -5,7 +5,8 @@ Four engines cover every integral the package evaluates:
 - tensor-product Gauss-Legendre over a box [-r, r]^d: ``integrate_box``
   enlarges the box automatically for integrands that decay at infinity
   (the dual of data without homogeneity degrees), and ``box_pass`` runs
-  one pass at a given radius (the direct box-indicator estimate);
+  one pass at a given radius (the direct box-indicator estimate in poly
+  mode);
 - a sphere rule for integrals against exp(-lam * g) with f and g
   positively homogeneous in any dimension, polynomials or opaque
   evaluators whose degrees the caller supplies: homogeneity reduces the
@@ -846,12 +847,15 @@ def monte_carlo_sublevel(
     (value, std_error) pair depends only on the inputs and the seed.  The
     summands of each chunk of _MC_CHUNK samples gather in one buffer,
     summed by numpy, then scaled by 2^-e, with 2^e just above the chunk's
-    largest |summand|, summed, squared in place and summed again; the
-    chunks' sums are added by ``math.fsum``, so the block size changes no bit,
-    and the working memory is one block plus that buffer.  The variance
-    is formed in the largest chunk's scale, so std_error reads the spread
-    of summands whose squares are past the double range or below it; in
-    the normal range the scale changes no bit.  When a chunk's sum or
+    largest |summand|, summed again, centred in place on the chunk's mean
+    (that mean corrected by the mean of the deviations), squared and
+    summed; the chunks' sums are added by ``math.fsum``, so the block size
+    changes no bit, and the working memory is one block plus that buffer.
+    The chunks' means and centred sums of squares are merged by the
+    pairwise update of Chan, Golub and LeVeque, in the largest chunk's
+    scale, so std_error reads the spread of summands whose squares are
+    past the double range or below it, and equal summands give exactly 0;
+    in the normal range the scale changes no bit.  When a chunk's sum or
     their total overflows, the chunks' scaled sums are added in that
     scale instead, so the mean, no larger than a summand, is returned.  A
     std_error past the double range is EvaluationError.
@@ -884,26 +888,40 @@ def monte_carlo_sublevel(
     for out in _chunks(n_samples, _MC_CHUNK, fill):
         with np.errstate(over="ignore", invalid="ignore"):
             partials.append(float(np.sum(out)))
-        # Summed and squared again in the scale 2^-power of the chunk's largest
+        # Summed and centred again in the scale 2^-power of the chunk's largest
         # |summand|, where no sum overflows and no square overflows or underflows to 0.
         power = math.frexp(max(float(out.max()), -float(out.min())))[1]
         np.ldexp(out, -power, out=out)
-        scaled.append((float(np.sum(out)), float(np.sum(np.square(out, out=out))), power))
-    # The largest chunk's scale: a power of two, so in the normal range every rounding is as unscaled.
-    scale = max((power for _, s, power in scaled if s), default=0)
+        total = float(np.sum(out))
+        # Squares about the chunk's mean, that mean corrected by the mean of
+        # the deviations from it, so that equal summands leave exactly 0.
+        rough = total / out.size
+        out -= rough
+        shift = float(np.sum(out)) / out.size
+        out -= shift
+        scaled.append((total, out.size, rough + shift, float(np.sum(np.square(out, out=out))), power))
+    # The largest scale of a chunk with a nonzero summand (so a nonzero mean
+    # or spread): a power of two, so in the normal range every rounding is as unscaled.
+    scale = max((power for _, _, m, s, power in scaled if m or s), default=0)
     try:
         mean = math.fsum(partials) / n_samples
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
         mean = math.inf
     if not math.isfinite(mean):  # a sum overflowed: the chunks are added again in the scale 2^-scale
-        mean = math.ldexp(math.fsum(math.ldexp(t, e - scale) for t, _, e in scaled) / n_samples, scale)
+        mean = math.ldexp(math.fsum(math.ldexp(t, e - scale) for t, _, _, _, e in scaled) / n_samples, scale)
     value = box_volume * mean
-    if n_samples > 1:
-        s2 = math.fsum(math.ldexp(s, 2 * (power - scale)) for _, s, power in scaled)
-        mean_scaled = math.ldexp(mean, -scale)
-        variance = max(0.0, (s2 - n_samples * mean_scaled * mean_scaled) / (n_samples - 1))
-    else:
-        variance = 0.0
+    # The chunks' means and centred sums of squares merged in the scale
+    # 2^-scale by the pairwise update of Chan, Golub and LeVeque.
+    count, centre, squares = 0, 0.0, 0.0
+    for _, size, chunk_mean, chunk_squares, power in scaled:
+        chunk_mean = math.ldexp(chunk_mean, power - scale)
+        chunk_squares = math.ldexp(chunk_squares, 2 * (power - scale))
+        delta = chunk_mean - centre
+        merged = count + size
+        centre += delta * (size / merged)
+        squares += chunk_squares + delta * delta * (count * size / merged)
+        count = merged
+    variance = squares / (n_samples - 1) if n_samples > 1 else 0.0
     try:
         std_error = math.ldexp(box_volume * math.sqrt(variance / n_samples), scale)
     except OverflowError:

@@ -221,11 +221,6 @@ def lambda_y_homogeneous(d: int, d_f: float, d_g: float, y: float) -> float:
     return lambda_y_for_order((d + d_f) / d_g, y)
 
 
-def dual_constant(d: int, d_f: float, d_g: float) -> float:
-    """The constant y * lambda_y = Gamma(1 + (d+d_f)/d_g)^(d_g/(d+d_f))."""
-    return lambda_y_homogeneous(d, d_f, d_g, 1.0)
-
-
 def _checked_g(problem: SublevelProblem):
     g = problem.g
 
@@ -547,25 +542,6 @@ def _find_lambda(
             f"rel_tol * target = {spec.rel_tol * target}; evaluations may be too noisy"
         )
     return best.lam, best.phi
-
-
-def initial_value_check(problem: SublevelProblem, lam_large: float, spec: QuadratureSpec) -> float:
-    """phi(lam_large) = lam * L_v(lam), which decays to v(0) = 0 as
-    lam grows when K_0 has measure zero; the caller asserts smallness.
-    """
-    return dual_integral(problem, lam_large, spec).value
-
-
-def final_value_check(problem: SublevelProblem, lam_small: float, spec: QuadratureSpec) -> float:
-    """phi(lam_small), an estimate of v(infinity) when that limit is
-    finite.
-
-    When v grows without bound the values grow as lam_small decreases
-    and, for box-engine problems, the automatic enlargement eventually
-    fails to stabilize (EffortError), flagging the likely-divergent
-    case.  No finiteness decision is made here.
-    """
-    return dual_integral(problem, lam_small, spec).value
 
 
 def laplace_transform_by_quadrature(v_fn: Callable[[np.ndarray], np.ndarray], lam: float) -> float:

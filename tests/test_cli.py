@@ -264,10 +264,11 @@ def _count_calls(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("case", sorted(SWEEP_GRIDS))
 def test_sweep_runs_each_direct_estimate_once(case, tmp_path, capsys, monkeypatch):
     calls = []
-    for name in ("monte_carlo_sublevel", "box_pass"):
+    box = "simplex_box_indicator" if "simplex" in SWEEP_GRIDS[case] else "box_pass"
+    for name in ("monte_carlo_sublevel", "box_pass", "simplex_box_indicator"):
         _count_calls(monkeypatch, cli, name, calls)
     assert main(["sweep", "--input", write_problem(tmp_path / "grid.json", SWEEP_GRIDS[case])]) == 0
-    assert sorted(calls) == ["box_pass", "monte_carlo_sublevel"]
+    assert sorted(calls) == sorted([box, "monte_carlo_sublevel"])
     calls.clear()
     empty = dict(SWEEP_GRIDS[case], y_grid=[])
     assert main(["sweep", "--input", write_problem(tmp_path / "empty.json", empty)]) == 0
@@ -659,6 +660,9 @@ FIG1_KEYS = [
 SMALL = {"sample_count": 2000}
 SMALL_DISC = dict(DISC, quadrature=SMALL)
 SMALL_SIMPLEX = dict(SIMPLEX, quadrature=SMALL)
+SMALL_SIMPLEX_4D = dict(SMALL_SIMPLEX, y=2.0, alpha_terms=[
+    {"coef": 1.0, "alpha": [-0.5, 0.0, -0.5, 0.0]}, {"coef": 0.5, "alpha": [0.0, 0.0, 0.0, 0.0]},
+])
 
 # case -> (problem file or None, argv, JSON key shape, CSV header)
 SHAPES = {
@@ -679,6 +683,12 @@ SHAPES = {
     ),
     "integrate-simplex": (
         SMALL_SIMPLEX, ["integrate"],
+        ["mode", "y", "v", "method", ("terms", [["alpha", "coef", "lambda_y", "v_term"]]),
+         *DIRECT_KEYS, "rel_diff_closed_vs_mc", "seed"],
+        CERT_CSV,
+    ),
+    "integrate-simplex-4d-two-terms": (
+        SMALL_SIMPLEX_4D, ["integrate"],
         ["mode", "y", "v", "method", ("terms", [["alpha", "coef", "lambda_y", "v_term"]]),
          *DIRECT_KEYS, "rel_diff_closed_vs_mc", "seed"],
         CERT_CSV,

@@ -11,10 +11,12 @@ from conftest import separable_power_integral
 from lapdual import (
     EffortError,
     EvaluationError,
+    GeneralizedPolynomial,
     InputError,
     IntegralEstimate,
     MultiPoly,
     QuadratureSpec,
+    SimplexMonomial,
     SublevelProblem,
     UnboundedSublevelError,
     auto_enclosing_radius,
@@ -31,6 +33,7 @@ from lapdual import (
 )
 from lapdual import cubature, rng
 from lapdual.cubature import MAX_HERMITE_NODES
+from lapdual.simplex import simplex_box_indicator
 
 MC_SPEC = QuadratureSpec(sample_count=10**6, seed=0)
 
@@ -496,10 +499,29 @@ def test_monte_carlo_std_error_scale_changes_no_bit_in_the_normal_range(monkeypa
     chunks = [summands[lo:lo + (1 << 14)] for lo in range(0, n, 1 << 14)]
     assert len({math.frexp(float(c.max()))[1] for c in chunks}) > 1
     mean = math.fsum(float(np.sum(c)) for c in chunks) / n
-    s2 = math.fsum(float(np.sum(np.square(c))) for c in chunks)
+    count, centre, squares = 0, 0.0, 0.0
+    for c in chunks:  # centred per chunk, merged by Chan, Golub and LeVeque's update
+        rough = float(np.sum(c)) / c.size
+        shift = float(np.sum(c - rough)) / c.size
+        delta = rough + shift - centre
+        merged = count + c.size
+        centre += delta * (c.size / merged)
+        squares += float(np.sum(np.square(c - rough - shift))) + delta * delta * (count * c.size / merged)
+        count = merged
     box_volume = (2.0 * radius) ** dim
-    std_error = box_volume * math.sqrt(max(0.0, (s2 - n * mean * mean) / (n - 1)) / n)
+    std_error = box_volume * math.sqrt(squares / (n - 1) / n)
     assert (est.value, est.std_error) == (box_volume * mean, std_error)
+
+
+@pytest.mark.parametrize("samples", [2**16, 2**20])
+@pytest.mark.parametrize("summand", [0.1, 1 / 3])
+def test_monte_carlo_std_error_of_equal_summands_is_zero(summand, samples):
+    # s2 - n * mean^2 cancelled: f = 0.1 read 5.1e-12 at 2^16 samples and
+    # 1.3e-12 at 2^20, f = 1/3 read 3.6e-11 and 8.9e-12.
+    est = monte_carlo_sublevel(lambda pts: np.full(pts.shape[0], summand), lambda pts: np.zeros(pts.shape[0]),
+                               1, 1.0, 0.5, QuadratureSpec(sample_count=samples))
+    assert est.std_error == 0.0
+    assert est.value == pytest.approx(summand, rel=1e-15)
 
 
 def test_monte_carlo_refuses_a_std_error_past_the_double_range():
@@ -1162,6 +1184,9 @@ def _hexes(result):
         MultiPoly(2, {(2, 0): 1.0, (0, 0): 0.5}), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}),
         2, 1.0, 1.1, QuadratureSpec(sample_count=2**19 + 3, seed=11))),
     ("_TENSOR_CHUNK", lambda: box_pass(_simplex_indicator(), 3, 0.5, 64)),
+    # 27^4 rows: three chunks.
+    ("_TENSOR_CHUNK", lambda: simplex_box_indicator(
+        GeneralizedPolynomial([SimplexMonomial((0.5, 0.0, 1.0, 0.0, -0.5), 1.5)]), 2.0, 27)),
     ("_TENSOR_CHUNK", lambda: integrate_polar(
         MultiPoly(3, {(2, 0, 0): 1.0, (0, 0, 0): 0.3}),
         MultiPoly(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.5, (0, 0, 4): 2.0, (2, 2, 0): -0.5}),
@@ -1173,7 +1198,8 @@ def _hexes(result):
     # The memo keeps grids of up to 512^2 points, block by block.
     ("_TENSOR_CHUNK", lambda: find_lambda_for_target(
         _radial_root_problem(), 0.8, (1e-2, 1e2), QuadratureSpec(nodes_per_axis=64, rel_tol=1e-6))),
-], ids=["monte-carlo", "box-simplex-64^3", "polar-3d", "gauss-hermite", "find-lambda-memo"])
+], ids=["monte-carlo", "box-simplex-64^3", "simplex-box-indicator-5d", "polar-3d", "gauss-hermite",
+        "find-lambda-memo"])
 def test_block_size_changes_no_bit(chunk, run, monkeypatch):
     blocked = run()
     monkeypatch.setattr(cubature, "_BLOCK", getattr(cubature, chunk))
@@ -1227,3 +1253,11 @@ def test_a_pass_works_in_one_block_plus_one_chunk_buffer():
     assert _traced_peak_mb(lambda: monte_carlo_sublevel(
         MultiPoly.constant(4, 1.0), g, 4, 1.0, 1.1, spec)) < 10.0
     assert _traced_peak_mb(lambda: box_pass(_simplex_indicator(), 3, 0.5, 64)) < 6.0
+
+
+@pytest.mark.parametrize("dim, nodes, tensor_peak_mb", [(5, 27, 3.8), (9, 6, 4.9)])
+def test_simplex_box_indicator_works_in_a_tensor_pass_of_memory(dim, nodes, tensor_peak_mb):
+    # tensor_peak_mb: the node-by-node box pass over the same nodes.  A
+    # row sum that built the whole (d - 1)-tensor at once took 29 MB and 93 MB.
+    poly = GeneralizedPolynomial([SimplexMonomial((0.5,) * dim, 1.0), SimplexMonomial((0.0,) * dim, 2.0)])
+    assert _traced_peak_mb(lambda: simplex_box_indicator(poly, 1.0, nodes)) < tensor_peak_mb + 1.0

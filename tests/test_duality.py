@@ -23,11 +23,8 @@ from lapdual import (
     SublevelProblem,
     UnboundedSublevelError,
     auto_enclosing_radius,
-    dual_constant,
     dual_integral,
-    final_value_check,
     find_lambda_for_target,
-    initial_value_check,
     lambda_y_homogeneous,
     laplace_of_v,
     laplace_transform_by_quadrature,
@@ -77,7 +74,7 @@ def test_lambda_y_validation():
 
 
 def test_dual_constant_over_y_grid():
-    const = dual_constant(2, 0, 4)
+    const = lambda_y_homogeneous(2, 0, 4, 1.0)
     for y in np.geomspace(0.05, 50.0, 20):
         lam = lambda_y_homogeneous(2, 0, 4, float(y))
         assert abs(float(y) * lam - const) <= 1e-12 * const
@@ -336,7 +333,7 @@ def test_homogeneous_polynomials_never_reach_the_box(quartic_g, monkeypatch):
     target = dual_integral(positive, 0.7, SPEC).value
     lam = find_lambda_for_target(positive, target, (1e-3, 1e3), SPEC)
     assert lam == pytest.approx(0.7, rel=1e-8)
-    assert final_value_check(positive, 1e-3, SPEC) > target
+    assert dual_integral(positive, 1e-3, SPEC).value > target
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -591,15 +588,15 @@ def test_find_lambda_invalid_bracket(disc_problem):
 
 
 def test_initial_value_check_decays(interval_problem, disc_problem):
-    assert initial_value_check(interval_problem, 1e4, SPEC) == pytest.approx(
+    assert dual_integral(interval_problem, 1e4, SPEC).value == pytest.approx(
         math.sqrt(math.pi / 1e4), rel=1e-10
     )
-    assert initial_value_check(disc_problem, 1e6, SPEC) == pytest.approx(
+    assert dual_integral(disc_problem, 1e6, SPEC).value == pytest.approx(
         math.pi * 1e-6, rel=1e-10
     )
-    assert initial_value_check(interval_problem, 1e4, SPEC) > initial_value_check(
+    assert dual_integral(interval_problem, 1e4, SPEC).value > dual_integral(
         interval_problem, 1e6, SPEC
-    )
+    ).value
 
 
 def test_final_value_check_opaque_gaussian_density():
@@ -608,15 +605,15 @@ def test_final_value_check_opaque_gaussian_density():
     problem = SublevelProblem(
         1, lambda p: np.exp(-p[:, 0] ** 2), lambda p: p[:, 0] ** 2
     )
-    value = final_value_check(problem, 0.01, SPEC)
+    value = dual_integral(problem, 0.01, SPEC).value
     assert value == pytest.approx(math.sqrt(math.pi / 1.01), rel=1e-6)
 
 
 def test_final_value_check_divergent_growth(interval_problem):
     # v(infinity) = +infinity here: phi grows as lambda decreases.
-    phi_001 = final_value_check(interval_problem, 0.01, SPEC)
+    phi_001 = dual_integral(interval_problem, 0.01, SPEC).value
     assert phi_001 == pytest.approx(math.sqrt(100.0 * math.pi), rel=1e-10)
-    assert phi_001 > final_value_check(interval_problem, 0.1, SPEC)
+    assert phi_001 > dual_integral(interval_problem, 0.1, SPEC).value
 
 
 def test_problem_metadata_consistency(disc_g, one_2d):

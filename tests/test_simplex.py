@@ -17,7 +17,8 @@ from lapdual import (
     simplex_laplace_of_v,
     simplex_monomial_v,
 )
-from lapdual.simplex import orthant_monomial_evaluator, simplex_gauge
+from lapdual.cubature import box_pass, sublevel_integrand
+from lapdual.simplex import orthant_monomial_evaluator, simplex_box_indicator, simplex_gauge
 
 
 def test_laplace_monomial_exponential():
@@ -250,3 +251,57 @@ def test_orthant_monomial_equals_a_boolean_index_reference(d):
                     prod *= powers[:, j]
                 reference[mask] = prod
             assert orthant_monomial_evaluator(alpha)(pts).tobytes() == reference.tobytes()
+
+
+def _node_by_node_box_indicator(poly, y, nodes):
+    """The box-indicator value node by node, as the CLI formed it before
+    it summed by rows: one box pass of sublevel_integrand over
+    [-y/2, y/2]^d, the evaluators and the gauge shifted onto [0, y]^d."""
+    radius = 0.5 * y
+    terms = [(t.coef, orthant_monomial_evaluator(t.alpha)) for t in poly.terms]
+
+    def f(pts):
+        pts = pts + radius
+        total = np.zeros(pts.shape[0])
+        for coef, ev in terms:
+            total = total + coef * ev(pts)
+        return total
+
+    def g(pts):
+        return simplex_gauge(pts) + poly.dim * radius
+
+    return box_pass(sublevel_integrand(f, g, y), poly.dim, radius, nodes)[0]
+
+
+def _poly(*terms):
+    return GeneralizedPolynomial([SimplexMonomial(alpha, coef) for coef, alpha in terms])
+
+
+@pytest.mark.parametrize("poly, y, nodes", [
+    (_poly((1.0, (0.0,))), 1.0, 64),
+    (_poly((2.0, (-0.5,)), (-0.5, (1.5,))), 3.0, 65),
+    # The d = 2, y = 1 row: the symmetric rule puts a whole row of nodes on x1 + x2 = y.
+    (_poly((1.0, (0.0, 0.0))), 1.0, 64),
+    (_poly((1.0, (1.0, 0.0))), 1.0, 64),
+    (_poly((1.0, (0.5, 1.5)), (-0.7, (2.5, 0.0))), 10.0, 64),
+    (_poly((1.0, (0.0, 0.0))), 1.0, 7),
+    (_poly((1.5, (1.0, 0.5, 0.0))), 0.1, 64),
+    (_poly((1.0, (-0.5, 0.0, 2.0)), (3.0, (0.0, 0.0, 0.0))), 7.0, 64),
+    (_poly((1.0, (0.5,) * 4), (2.0, (-0.5, 0.0, -0.5, 0.0))), 1.0, 24),
+    (_poly((1.0, (-0.5, 0.0, 0.0, 1.0, 2.5)), (0.25, (0.0,) * 5)), 2.0, 27),
+    (_poly((1.0, (0.0,) * 9), (1.0, (-0.5,) * 9)), 3.0, 6),
+], ids=["d1", "d1-two-terms", "d2-boundary-row", "d2-boundary-row-x1", "d2-two-terms", "d2-odd",
+        "d3", "d3-two-terms", "d4-two-terms", "d5-two-terms", "d9-two-terms"])
+def test_box_indicator_sums_the_node_by_node_pass_by_rows(poly, y, nodes):
+    # The same nodes, weights and decisions (half weight on the level set,
+    # 0 off the orthant); only the order of the sum differs.
+    reference = _node_by_node_box_indicator(poly, y, nodes)
+    assert simplex_box_indicator(poly, y, nodes) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def test_box_indicator_refuses_a_sum_past_the_double_range():
+    # 1e300 * x^100 near x = 1e3: past the double range, with no numpy warning.
+    with pytest.raises(EvaluationError, match="not finite"):
+        simplex_box_indicator(_poly((1e300, (100.0,))), 1e3, 64)
+    with pytest.raises(InputError):
+        simplex_box_indicator(_poly((1.0, (0.0,))), 0.0, 64)
