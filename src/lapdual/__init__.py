@@ -20,7 +20,6 @@ from .cubature import (
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
-    integrate_polar,
     monte_carlo_sublevel,
     sphere_minimum,
 )
@@ -33,8 +32,6 @@ from .duality import (
     lambda_y_homogeneous,
     laplace_of_v,
     laplace_transform_by_quadrature,
-    v_dual_homogeneous,
-    v_homogeneous_closed_form,
     v_polynomial,
 )
 from .errors import (
@@ -94,7 +91,6 @@ __all__ = [
     "generalized_polynomial_v",
     "integrate_box",
     "integrate_gaussian_quadratic",
-    "integrate_polar",
     "lambda_y_for_order",
     "lambda_y_homogeneous",
     "laplace_of_v",
@@ -106,7 +102,5 @@ __all__ = [
     "simplex_laplace_of_v",
     "simplex_monomial_v",
     "sphere_minimum",
-    "v_dual_homogeneous",
-    "v_homogeneous_closed_form",
     "v_polynomial",
 ]

@@ -39,7 +39,6 @@ from .duality import (
     lambda_y_for_order,
     laplace_of_v,
     laplace_transform_by_quadrature,
-    v_dual_homogeneous,
     v_polynomial,
 )
 from .errors import EngineError, EvaluationError, InputError
@@ -373,7 +372,7 @@ def cmd_find_lambda(pf: ProblemFile, spec: QuadratureSpec, args):
 
 def cmd_bench_fig1(pf: ProblemFile, spec: QuadratureSpec, args):
     t0 = time.perf_counter()
-    cert = v_dual_homogeneous(pf.problem, 1.0, spec)
+    cert = v_polynomial(pf.problem, 1.0, spec)[1][0]  # f = 1: one piece
     t1 = time.perf_counter()
     mc_est, box = _direct_estimates(pf, spec, 1.0)
     t2 = time.perf_counter()

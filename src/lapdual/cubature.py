@@ -85,6 +85,12 @@ _SPHERE_SAMPLES = 8192  # random directions sampled by sphere_minimum
 _ENCLOSING_MARGIN = 1.1  # the sphere minimum is sampled, so its radius bound is widened
 
 
+def _positive_real(value, name: str, other: str = "") -> float:
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+        raise InputError(f"{name} must be a finite positive number{other}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution, box, sample and seed parameters of the engines.
@@ -92,10 +98,10 @@ class QuadratureSpec:
     Callers choose an engine by calling it, so no engine reads
     ``engine``: the field stays, checked against the engine names, only
     because the benchmark still passes it.  ``box_radius`` is either
-    "auto" or a positive half-width, read only by ``enclosing_radius``:
+    "auto" or a finite positive half-width, read only by ``enclosing_radius``:
     the direct estimates' box around {g <= y} when g is not homogeneous.
-    Every setting is checked here, and an integer one is a plain int,
-    not a bool.
+    Every setting is checked here: an integer one is a plain int and a
+    real one a finite float, and none is a bool.
     """
 
     engine: str = ENGINE_BOX
@@ -114,13 +120,9 @@ class QuadratureSpec:
             raise InputError(f"sample_count must be a positive integer, got {self.sample_count!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (isinstance(self.rel_tol, (int, float)) and self.rel_tol > 0):
-            raise InputError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", _positive_real(self.rel_tol, "rel_tol"))
         if self.box_radius != "auto":
-            if not (isinstance(self.box_radius, (int, float)) and self.box_radius > 0):
-                raise InputError(f'box_radius must be positive or "auto", got {self.box_radius!r}')
-            object.__setattr__(self, "box_radius", float(self.box_radius))
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+            object.__setattr__(self, "box_radius", _positive_real(self.box_radius, "box_radius", ' or "auto"'))
 
 
 @dataclass(frozen=True)
@@ -578,63 +580,9 @@ def _times_exp(s: float, log_scale: float) -> float:
     return math.copysign(exp_in_range(log_scale + math.log(abs(s)), "the polar integral"), s)
 
 
-def integrate_polar(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    k: float,
-    d_g: float,
-    lam: float,
-    spec: QuadratureSpec,
-) -> IntegralEstimate:
-    """Integral of f(x) * exp(-lam * g(x)) over R^dim as a sphere integral.
-
-    For f positively homogeneous of degree k and g of degree d_g > 0,
-    positive on the unit sphere S^(dim-1), integrating out the radius
-    gives, with p = (dim + k) / d_g,
-
-        integral f exp(-lam g) dx = Gamma(p) / (d_g lam^p) * integral f g^(-p) dsigma.
-
-    The sphere rule is the exact two-point sum over {+1, -1} for dim 1
-    and otherwise ``_sphere_sum``'s product rule, n nodes per polar angle
-    and 2n in the azimuth (n^(dim-2) * 2n points; n for dim 2).
-    Nodes per angle start at ``spec.nodes_per_axis``, halved until twice
-    that fits too, and double until two passes differ by at most
-    ``spec.rel_tol`` times the later pass's magnitude, max(|value|, sum of
-    w * |f g^(-p)|), as in ``integrate_box``.  The scale is formed in log space.
-
-    Raises UnboundedSublevelError when g is not positive at a node (g
-    vanishes on a ray, so its sublevel sets are unbounded),
-    EvaluationError on a non-finite value, and EffortError when no two
-    passes agree before the next would exceed 2^21 points, before any
-    pass when fewer than two fit even from 1 node (dim >= 22).
-    dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
-
-    Parameters
-    ----------
-    f, g : callable
-        Vectorized evaluators, (N, dim) -> (N,); the homogeneity degrees
-        are the caller's facts, not checked here.
-    dim : int
-        Ambient dimension, >= 1.
-    k, d_g : float
-        Homogeneity degrees of f (k >= 0) and g (d_g > 0).
-    lam : float
-        Positive weight scale.
-    """
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
-    if not (k >= 0 and d_g > 0):
-        raise InputError(f"degrees must satisfy k >= 0 and d_g > 0, got k={k!r}, d_g={d_g!r}")
-    if not 0 < lam < math.inf:
-        raise InputError(f"lam must be finite and positive, got {lam!r}")
-    p = (dim + k) / d_g
-    return polar_estimate(_sphere_integral(f, g, dim, p, spec), p, d_g, lam, spec)
-
-
 def polar_estimate(sums, p: float, d_g: float, lam: float, spec: QuadratureSpec) -> IntegralEstimate:
-    """``integrate_polar``'s estimate from the sphere sums (value, magnitude,
-    evaluations) of f * g^(-p): both times Gamma(p) / (d_g lam^p), in log space."""
+    """The polar engine's estimate from ``_sphere_integral``'s sums (value,
+    magnitude, evaluations): both times Gamma(p) / (d_g lam^p), in log space."""
     value, magnitude, effort = sums
     log_scale = log_gamma(p) - math.log(d_g) - p * math.log(lam)
     value, magnitude = _times_exp(value, log_scale), _times_exp(magnitude, log_scale)
@@ -645,8 +593,25 @@ def polar_estimate(sums, p: float, d_g: float, lam: float, spec: QuadratureSpec)
 
 
 def _sphere_integral(f, g, dim: int, p: float, spec: QuadratureSpec):
-    """``integrate_polar``'s sphere integral of f * g^(-p): (value,
-    magnitude, evaluations) of the agreeing pass, free of lam."""
+    """The polar engine's lam-free sums (value, magnitude, evaluations) of
+    f * g^(-p) over the unit sphere S^(dim-1); f and g are evaluators.
+
+    For f positively homogeneous of degree k and g of degree d_g, positive
+    on the sphere, p = (dim + k) / d_g and ``polar_estimate`` scales the sums:
+        integral f exp(-lam g) dx = Gamma(p) / (d_g lam^p) * integral f g^(-p) dsigma.
+    The degrees are the caller's facts (``SublevelProblem`` checks them).
+    dim 1 is the exact two-point sum over {+1, -1}; otherwise ``_sphere_sum``'s
+    product rule (n^(dim-2) * 2n points; n for dim 2), n starting at
+    ``spec.nodes_per_axis``, halved until twice that fits too, and doubling
+    until two passes differ by at most ``spec.rel_tol`` times the later pass's
+    magnitude, max(|value|, sum of w * |f g^(-p)|), as in ``integrate_box``.
+    UnboundedSublevelError when g is not positive at a node (g vanishes on a
+    ray, so its sublevel sets are unbounded), EvaluationError on a non-finite
+    value, EffortError when no two passes agree before the next would exceed
+    2^21 points, and before any pass when fewer than two fit even from 1 node
+    (dim >= 22).  dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5
+    1e-4 but not 1e-9.
+    """
 
     def h(pts):
         g_vals = np.asarray(g(pts), dtype=float)
@@ -726,7 +691,7 @@ def integrate_gaussian_quadratic(
     EffortError (its terms' closures, each counted in full, sum past
     _MAX_GAUSSIAN_MOMENTS) before any is formed; its error estimate is a rounding
     bound.  An opaque f takes tensor Gauss-Hermite in u = sqrt(lam) S x, Q = S'S, with
-    nodes per axis doubling until two passes agree as in ``integrate_polar``: they start
+    nodes per axis doubling until two passes agree as in ``_sphere_integral``: they start
     at min(``nodes_per_axis``, MAX_HERMITE_NODES), halved until twice that fits too, and
     none exceeds MAX_HERMITE_NODES or MAX_TENSOR_POINTS points; its error estimate is
     ``spec.rel_tol`` * max(|value|, magnitude).  A v below the double range is 0.0;

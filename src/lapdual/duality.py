@@ -57,7 +57,7 @@ from .cubature import (
 from .errors import BracketError, EffortError, EvaluationError, EvaluationNoiseError, InputError
 from .errors import UnboundedSublevelError
 from .polyalg import MultiPoly
-from .special import log_gamma, power_over_gamma
+from .special import log_gamma
 
 METHOD_CLOSED_FORM = "closed-form-homogeneous"
 METHOD_DUAL_CUBATURE = "dual-cubature"
@@ -199,8 +199,8 @@ def lambda_y_for_order(order: float, y: float) -> float:
     homogeneity degree of v itself; computed through log_gamma."""
     if not order > 0:
         raise InputError(f"order must be positive, got {order!r}")
-    if not y > 0:
-        raise InputError(f"y must be positive, got {y!r}")
+    if not 0 < y < math.inf:
+        raise InputError(f"the level y must be finite and positive, got {y!r}")
     return math.exp(log_gamma(1.0 + order) / order) / y
 
 
@@ -336,36 +336,6 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     return integrate_box(phi, problem.dim, spec, initial_radius=radius)
 
 
-def v_homogeneous_closed_form(problem: SublevelProblem, base_integral: float, y: float) -> float:
-    """Closed form v(y) = y^p * base_integral / Gamma(1 + p) with
-    p = (d + d_f)/d_g, given base_integral = integral of f * exp(-g).
-
-    Evaluated in log space, so only v(y) itself must fit in a double;
-    a v(y) beyond the double range raises EvaluationError.
-    """
-    if problem.f_degree is None or problem.g_degree is None:
-        raise InputError("closed form requires homogeneity degrees for both f and g")
-    y = float(y)
-    if y < 0:
-        raise InputError(f"y must be nonnegative, got {y!r}")
-    p = (problem.dim + problem.f_degree) / problem.g_degree
-    if y == 0.0 or base_integral == 0.0:
-        return 0.0
-    return math.copysign(power_over_gamma(y, p, math.log(abs(base_integral))), base_integral)
-
-
-def v_dual_homogeneous(problem: SublevelProblem, y: float, spec: QuadratureSpec) -> DualCertificate:
-    """v(y) via the explicit dual value for homogeneous f and g.
-
-    f has a degree, so it is one piece: this is ``v_polynomial``'s one
-    certificate, at lambda_y from the degrees, and y * lambda_y equals the
-    dual constant by construction.
-    """
-    if problem.f_degree is None or problem.g_degree is None:
-        raise InputError("dual evaluation requires homogeneity degrees for both f and g")
-    return v_polynomial(problem, y, spec)[1][0]
-
-
 def v_polynomial(
     problem: SublevelProblem, y: float, spec: QuadratureSpec
 ) -> tuple[float, list[DualCertificate]]:
@@ -462,8 +432,8 @@ def _find_lambda(
     lo, hi = bracket
     if not (0 < lo < hi < math.inf):
         raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
-    if not target > 0:
-        raise InputError(f"target must be positive, got {target!r}")
+    if not 0 < target < math.inf:
+        raise InputError(f"target must be finite and positive, got {target!r}")
     u_lo, u_hi = math.log(lo), math.log(hi)
     log_target = math.log(target)
     samples: list[_Sample] = []

@@ -17,6 +17,7 @@ Unknown keys anywhere are rejected before any computation runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -49,27 +50,28 @@ class ProblemFile:
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InputError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        raise InputError(f"{name} must be a number within the double range") from None
+
+
+def _level(value, name: str) -> float:
+    y = _require_number(value, name)
+    if not 0 < y < math.inf:  # JSON reads 1e400 as inf
+        raise InputError(f"{name} must be a finite positive level, got {y!r}")
+    return y
 
 
 def _parse_y(doc) -> tuple[tuple[float, ...], bool]:
     if ("y" in doc) == ("y_grid" in doc):
         raise InputError('exactly one of "y" and "y_grid" is required')
     if "y" in doc:
-        y = _require_number(doc["y"], '"y"')
-        if not y > 0:
-            raise InputError(f'"y" must be positive, got {y!r}')
-        return (y,), True
+        return (_level(doc["y"], '"y"'),), True
     grid = doc["y_grid"]
     if not isinstance(grid, list):
         raise InputError('"y_grid" must be a list')
-    values = []
-    for entry in grid:
-        y = _require_number(entry, '"y_grid" entry')
-        if not y > 0:
-            raise InputError(f'"y_grid" entries must be positive, got {y!r}')
-        values.append(y)
-    return tuple(values), False
+    return tuple(_level(entry, '"y_grid" entry') for entry in grid), False
 
 
 def _parse_quadrature(doc) -> QuadratureSpec:

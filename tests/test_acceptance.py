@@ -25,8 +25,6 @@ from lapdual import (
     mean_value_point,
     monte_carlo_sublevel,
     simplex_monomial_v,
-    v_dual_homogeneous,
-    v_homogeneous_closed_form,
     v_polynomial,
 )
 from lapdual.simplex import orthant_monomial_evaluator, simplex_gauge
@@ -57,7 +55,7 @@ def test_a1_homogeneous_dual_identity():
         (INTERVAL, lambda y: 2.0 * math.sqrt(y)),
     ):
         for y in (0.5, 1.0, 2.0, 10.0):
-            cert = v_dual_homogeneous(problem, y, SPEC)
+            cert = v_polynomial(problem, y, SPEC)[1][0]
             worst = max(worst, abs(cert.v_value - oracle(y)) / oracle(y))
     elapsed = time.perf_counter() - start
     report(
@@ -205,14 +203,15 @@ def test_a8_initial_value_decay():
 
 
 def test_a9_scaling_law():
-    base = dual_integral(DISC, 1.0, SPEC).value  # integral of exp(-g)
     p = (2 + 0) / 2
-    worst = 0.0
+    worst, within = 0.0, True
     for t in (2.0, 5.0):
         for y in (0.5, 1.0, 3.0):
-            lhs = v_homogeneous_closed_form(DISC, base, t * y)
-            rhs = t**p * v_homogeneous_closed_form(DISC, base, y)
+            lhs, (cert_ty,) = v_polynomial(DISC, t * y, SPEC)
+            value, (cert_y,) = v_polynomial(DISC, y, SPEC)
+            rhs = t**p * value
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
+            within = within and abs(lhs - rhs) <= cert_ty.error_estimate + t**p * cert_y.error_estimate
     mc_ok = True
     radius_1 = auto_enclosing_radius(DISC_G, 1.0)
     mc_1 = monte_carlo_sublevel(
@@ -229,8 +228,9 @@ def test_a9_scaling_law():
         mc_ok = mc_ok and abs(mc_t.value - t**p * mc_1.value) <= band
     report(
         "A9",
-        worst <= 1e-9 and mc_ok,
-        f"closed-form scaling rel err {worst:.3e} (<=1e-9), direct path within MC error: {mc_ok}",
+        worst <= 1e-9 and within and mc_ok,
+        f"dual scaling rel err {worst:.3e} (<=1e-9), within certificates: {within}, "
+        f"direct path within MC error: {mc_ok}",
     )
 
 

@@ -454,6 +454,10 @@ X40 = dict(
     g={"dim": 2, "terms": [{"coef": 1.0, "exps": [4, 0]}, {"coef": 1.0, "exps": [0, 4]}]},
 )
 
+# f = 1 over x1^4 + x2^4 at a level JSON reads as inf, such as "y": 1e400:
+# lambda_y = Gamma(3/2)^2 / y is 0 there, and every command refuses the level.
+INFINITE_LEVEL = dict(X40, f=DISC["f"], y=math.inf)
+
 
 @pytest.mark.parametrize("doc", [X400, dict(SIMPLEX, alpha_terms=[{"coef": 1e300, "alpha": [100.0]}])],
                          ids=["x400-closed-form", "simplex-coef-times-v"])
@@ -502,19 +506,44 @@ def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_
         (dict(X40, y=3e29, quadrature={"sample_count": 2000}), ["integrate", "--output", "csv"], 0),
         # At y = 1e-30 v and both direct estimates are subnormal, and printed.
         (dict(X40, y=1e-30, quadrature={"sample_count": 2000}), ["integrate"], 0),
+        # An infinite level: integrate, sweep and mvt took log 0 in the polar
+        # engine (a traceback), laplace-check ignored it and find-lambda exited 3.
+        *[(INFINITE_LEVEL, argv, 2) for argv in (
+            ["integrate"], ["sweep"], ["laplace-check"], ["mvt"], ["find-lambda", "--target", "1"])],
+        (_grid(INFINITE_LEVEL, [1.0, math.inf]), ["sweep"], 2),
+        (dict(DISC, y=math.inf), ["integrate"], 2),
+        (dict(SIMPLEX, y=math.inf), ["integrate"], 2),
+        # Non-finite or boolean settings: at rel_tol inf the disc's Gaussian
+        # route, which ignores it, exited 0 and the quartic exited 3.
+        (DISC, ["integrate", "--rel-tol", "inf"], 2),
+        (dict(X40, f=DISC["f"]), ["integrate", "--rel-tol", "inf"], 2),
+        (dict(DISC, quadrature={"rel_tol": True}), ["integrate"], 2),
+        (dict(DISC, quadrature={"box_radius": True}), ["integrate"], 2),
+        # g has no degree, so the direct estimates read box_radius; at inf
+        # the refusal named an engine invariant ("error_estimate ... nan").
+        (dict(DISC, g={"dim": 2, "terms": [{"coef": 1.0, "exps": [2, 0]}, {"coef": 1.0, "exps": [0, 2]},
+                                           {"coef": 1.0, "exps": [4, 0]}]},
+              quadrature={"sample_count": 1000, "box_radius": math.inf}), ["integrate"], 2),
+        # An infinite target was a BracketError, exit 3.
+        (DISC, ["find-lambda", "--target", "inf"], 2),
+        (DISC, ["find-lambda", "--target", "1e400"], 2),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
          "laplace-check-past-double-range", "seed-negative", "seed-past-64-bits",
          "sweep-scaled-past-double-range", "integrate-box-indicator-past-double-range",
-         "integrate-csv-near-double-range", "integrate-subnormal-level"],
+         "integrate-csv-near-double-range", "integrate-subnormal-level",
+         "infinite-level-integrate", "infinite-level-sweep", "infinite-level-laplace-check",
+         "infinite-level-mvt", "infinite-level-find-lambda", "infinite-level-in-grid",
+         "infinite-level-disc", "infinite-level-simplex", "rel-tol-inf-gaussian", "rel-tol-inf-polar",
+         "rel-tol-bool", "box-radius-bool", "box-radius-inf", "target-inf", "target-past-double-range"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)
     proc = run_cli(argv[0], "--input", path, *argv[1:])
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if code == 2 and argv[0] == "integrate":
+    if code == 2 and "engine" in problem.get("quadrature", {}):
         assert "engine" in proc.stderr
 
 

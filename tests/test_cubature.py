@@ -21,12 +21,12 @@ from lapdual import (
     UnboundedSublevelError,
     auto_enclosing_radius,
     box_pass,
+    dual_integral,
     find_lambda_for_target,
     gauss_hermite_rule,
     gauss_legendre_rule,
     integrate_box,
     integrate_gaussian_quadratic,
-    integrate_polar,
     lambda_y_homogeneous,
     monte_carlo_sublevel,
     sphere_minimum,
@@ -226,8 +226,8 @@ def _gaussian_2d(p):
     lambda spec: integrate_box(_gaussian_2d, 2, spec),
     lambda spec: integrate_gaussian_quadratic(MultiPoly(2, {(2, 2): 1.0}), np.eye(2) + 0.1, 0.7, spec),
     lambda spec: integrate_gaussian_quadratic(lambda p: np.exp(p[:, 0]), np.eye(2), 1.0, spec),
-    lambda spec: integrate_polar(
-        MultiPoly.constant(2, 1.0), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0}), 2, 0, 4, 1.0, spec),
+    lambda spec: dual_integral(SublevelProblem(
+        2, MultiPoly.constant(2, 1.0), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})), 1.0, spec),
     lambda spec: monte_carlo_sublevel(
         MultiPoly.constant(2, 1.0), MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), 2, 1.0, 1.0, spec),
 ], ids=["box", "gaussian-moments", "gauss-hermite", "polar", "monte-carlo"])
@@ -648,6 +648,12 @@ def test_quadrature_spec_validation():
         QuadratureSpec(seed=-1)
     with pytest.raises(InputError):
         QuadratureSpec(seed=2**64)
+    # Real settings must be finite: rel_tol inf and box_radius inf ran.
+    for key in ("rel_tol", "box_radius"):
+        for value in (math.inf, math.nan, 10**400, "1e-3"):
+            with pytest.raises(InputError, match=f"{key} must be a finite positive number"):
+                QuadratureSpec(**{key: value})
+    assert QuadratureSpec(rel_tol=1, box_radius=2) == QuadratureSpec(rel_tol=1.0, box_radius=2.0)
 
 
 def test_quadrature_spec_refuses_bools_for_integers():
@@ -656,6 +662,11 @@ def test_quadrature_spec_refuses_bools_for_integers():
     for key, value in (("seed", True), ("nodes_per_axis", True), ("sample_count", False),
                        ("sample_count", True)):
         with pytest.raises(InputError, match="integer"):
+            QuadratureSpec(**{key: value})
+    # Nor is a bool a real setting: rel_tol True ran at 1.0, and box_radius
+    # true (JSON) at radius 1.0.
+    for key, value in (("rel_tol", True), ("box_radius", True), ("box_radius", False)):
+        with pytest.raises(InputError, match=f"{key} must be a finite positive number"):
             QuadratureSpec(**{key: value})
 
 
@@ -813,7 +824,7 @@ def _sphere_quartic(dim, a):
 def test_polar_one_dimensional_two_point_sum():
     f = MultiPoly.monomial(1, (2,))
     g = MultiPoly.monomial(1, (4,))
-    est = integrate_polar(f, g, 1, 2, 4, 2.0, QuadratureSpec())
+    est = dual_integral(SublevelProblem(1, f, g), 2.0, QuadratureSpec())
     assert est.engine == "polar" and est.effort == 2
     exact = math.exp(math.lgamma(0.75) - math.log(2.0) - 0.75 * math.log(2.0))
     assert est.value == pytest.approx(exact, rel=1e-14)
@@ -838,7 +849,7 @@ def test_polar_fig1_matches_circle_quadrature(family, d_g, f_terms, k):
         pieces = [mpmath.pi * j / 4 for j in range(9)]
         sphere = mpmath.quad(lambda t: on_circle(f, t) * on_circle(g, t) ** -p, pieces)
         exact = float(mpmath.gamma(p) / (d_g * mpmath.mpf(lam) ** p) * sphere)
-    est = integrate_polar(f, g, 2, k, d_g, lam, QuadratureSpec())
+    est = dual_integral(SublevelProblem(2, f, g), lam, QuadratureSpec())
     assert est.value == pytest.approx(exact, rel=1e-13)
     assert abs(est.value - exact) <= 1e-9 * max(abs(est.value), est.magnitude)
 
@@ -847,7 +858,7 @@ def test_polar_three_dim_separable_quartic():
     a = (1.0, 2.5, 0.7)
     f_terms = {(2, 2, 0): 1.0, (0, 0, 4): 3.0, (4, 0, 0): -1.0, (1, 3, 0): 5.0}
     lam = 1.7
-    est = integrate_polar(MultiPoly(3, f_terms), _sphere_quartic(3, a), 3, 4, 4, lam, QuadratureSpec())
+    est = dual_integral(SublevelProblem(3, MultiPoly(3, f_terms), _sphere_quartic(3, a)), lam, QuadratureSpec())
     assert est.value == pytest.approx(separable_power_integral(f_terms, a, lam, 4), rel=1e-13)
 
 
@@ -858,18 +869,25 @@ def test_polar_non_finite_value():
 
     f = MultiPoly.constant(2, 1.0)
     with pytest.raises(EvaluationError):
-        integrate_polar(f, g, 2, 0, 1, 1.0, QuadratureSpec())
+        cubature._sphere_integral(f, g, 2, 2.0, QuadratureSpec())
 
 
 def test_polar_input_errors():
+    # The problem checks the dim and the degrees, and dual_integral lam.
     f2, g2 = MultiPoly.constant(2, 1.0), _sphere_quartic(2, (1.0, 1.0))
     for dim in (0, 2.0):
         with pytest.raises(InputError):
-            integrate_polar(f2, g2, dim, 0, 4, 1.0, QuadratureSpec())
+            SublevelProblem(dim, f2, g2)
     with pytest.raises(InputError):
-        integrate_polar(f2, g2, 2, 0, 4, -1.0, QuadratureSpec())
+        dual_integral(SublevelProblem(2, f2, g2), -1.0, QuadratureSpec())
+
+    def opaque(p):
+        return np.ones(p.shape[0])
+
     with pytest.raises(InputError):
-        integrate_polar(f2, g2, 2, 0, 0, 1.0, QuadratureSpec())
+        SublevelProblem(2, f2, opaque, g_degree=0)
+    with pytest.raises(InputError):
+        SublevelProblem(2, opaque, g2, f_degree=-1)
 
 
 def _sphere_sum_two_and_three_dim(h, dim, n):
@@ -927,7 +945,7 @@ def test_polar_four_dim_separable_quartic():
     }
     lam = 1.7
     spec = QuadratureSpec(nodes_per_axis=16)
-    est = integrate_polar(MultiPoly(4, f_terms), _sphere_quartic(4, a), 4, 4, 4, lam, spec)
+    est = dual_integral(SublevelProblem(4, MultiPoly(4, f_terms), _sphere_quartic(4, a)), lam, spec)
     assert est.value == pytest.approx(separable_power_integral(f_terms, a, lam, 4), rel=1e-13)
 
 
@@ -937,9 +955,7 @@ def test_sphere_refusal_names_the_node_cap_as_well_as_a_ray():
     # at 16 nodes, so the node cap is as likely a cause as a vanishing ray.
     g = _sphere_quartic(5, (1.0, 1.375, 1.75, 2.125, 2.5))
     with pytest.raises(EffortError) as err:
-        integrate_polar(
-            MultiPoly.constant(5, 1.0), g, 5, 0, 4, 1.0, QuadratureSpec(nodes_per_axis=16)
-        )
+        cubature._sphere_integral(MultiPoly.constant(5, 1.0), g, 5, 1.25, QuadratureSpec(nodes_per_axis=16))
     message = str(err.value)
     assert "vanish" in message and "on a ray" in message
     assert "more nodes than the cap allows" in message
@@ -1011,7 +1027,7 @@ def test_polar_sphere_cap_three_dim():
     g = MultiPoly(3, {(2, 0, 0): 1.0, (1, 1, 0): -2.2, (0, 2, 0): 1.21, (0, 0, 2): 1.0})
     counts = []
     with pytest.raises(EffortError):
-        integrate_polar(MultiPoly.constant(3, 1.0), _counting(g, counts), 3, 0, 2, 1.0, QuadratureSpec())
+        cubature._sphere_integral(MultiPoly.constant(3, 1.0), _counting(g, counts), 3, 1.5, QuadratureSpec())
     assert sum(counts) == 6 + sum((64 << i) * (128 << i) for i in range(5))
 
 
@@ -1029,9 +1045,8 @@ def test_polar_near_degenerate_fig1_quartic_within_its_certificate(c, angle):
     # The sphere minimum (2 + c) / 4 goes to 0, so g^(-1/2) peaks ever more
     # sharply: the passes double past 4096 nodes until two agree.
     mpmath = pytest.importorskip("mpmath")
-    est = integrate_polar(
-        MultiPoly.constant(2, 1.0), _rotated_fig1_quartic(c, angle), 2, 0, 4, 1.0, QuadratureSpec()
-    )
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), _rotated_fig1_quartic(c, angle), g_degree=4)
+    est = dual_integral(problem, 1.0, QuadratureSpec())
     with mpmath.workdps(30):
         def g_on_circle(t):
             x, y = mpmath.cos(t), mpmath.sin(t)
@@ -1051,9 +1066,8 @@ def test_polar_vanishing_ray_runs_to_the_sphere_cap():
     # under the cap.  The 4 extra points are the axis probe.
     counts = []
     with pytest.raises(EffortError, match="16 passes"):
-        integrate_polar(
-            MultiPoly.constant(2, 1.0), _counting(_rotated_fig1_quartic(-2.0), counts),
-            2, 0, 4, 1.0, QuadratureSpec(),
+        cubature._sphere_integral(
+            MultiPoly.constant(2, 1.0), _counting(_rotated_fig1_quartic(-2.0), counts), 2, 0.5, QuadratureSpec()
         )
     assert sum(counts) == 4 + sum(64 << i for i in range(16))
 
@@ -1187,10 +1201,10 @@ def _hexes(result):
     # 27^4 rows: three chunks.
     ("_TENSOR_CHUNK", lambda: simplex_box_indicator(
         GeneralizedPolynomial([SimplexMonomial((0.5, 0.0, 1.0, 0.0, -0.5), 1.5)]), 2.0, 27)),
-    ("_TENSOR_CHUNK", lambda: integrate_polar(
+    ("_TENSOR_CHUNK", lambda: cubature._sphere_integral(
         MultiPoly(3, {(2, 0, 0): 1.0, (0, 0, 0): 0.3}),
         MultiPoly(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.5, (0, 0, 4): 2.0, (2, 2, 0): -0.5}),
-        3, 2, 4, 1.0, QuadratureSpec())),
+        3, 1.25, QuadratureSpec())),
     # 128^2 then 256^2 nodes: one block, then four.
     ("_TENSOR_CHUNK", lambda: integrate_gaussian_quadratic(
         lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.7,

@@ -29,8 +29,6 @@ from lapdual import (
     laplace_of_v,
     laplace_transform_by_quadrature,
     monte_carlo_sublevel,
-    v_dual_homogeneous,
-    v_homogeneous_closed_form,
     v_polynomial,
 )
 from lapdual import cubature, duality
@@ -81,24 +79,19 @@ def test_dual_constant_over_y_grid():
 
 
 def test_closed_form_disc(disc_problem):
-    assert v_homogeneous_closed_form(disc_problem, math.pi, 1.0) == pytest.approx(
-        math.pi, rel=1e-12
-    )
-
-
-def test_closed_form_at_zero(disc_problem):
-    assert v_homogeneous_closed_form(disc_problem, math.pi, 0.0) == 0.0
+    for y in (0.5, 1.0, 3.0):
+        assert v_polynomial(disc_problem, y, SPEC)[0] == pytest.approx(math.pi * y, rel=1e-12)
 
 
 def test_closed_form_interval(interval_problem):
-    value = v_homogeneous_closed_form(interval_problem, math.sqrt(math.pi), 4.0)
+    value = v_polynomial(interval_problem, 4.0, SPEC)[0]
     assert value == pytest.approx(4.0, rel=1e-12)  # interval length 2*sqrt(y)
 
 
 def test_closed_form_requires_degrees(interval_g):
     opaque = SublevelProblem(1, lambda p: np.ones(p.shape[0]), interval_g)
     with pytest.raises(InputError):
-        v_homogeneous_closed_form(opaque, 1.0, 1.0)
+        v_polynomial(opaque, 1.0, SPEC)
 
 
 def test_dual_integral_interval(interval_problem):
@@ -138,14 +131,14 @@ def test_dual_integral_rejects_nonpositive_lambda(disc_problem):
 
 
 def test_v_dual_disc_scales(disc_problem):
-    cert = v_dual_homogeneous(disc_problem, 3.0, SPEC)
+    cert = v_polynomial(disc_problem, 3.0, SPEC)[1][0]
     assert cert.lambda_y == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert cert.v_value == pytest.approx(3.0 * math.pi, rel=1e-10)
     assert cert.method == "dual-gaussian"
 
 
 def test_v_dual_interval(interval_problem):
-    cert = v_dual_homogeneous(interval_problem, 1.0, SPEC)
+    cert = v_polynomial(interval_problem, 1.0, SPEC)[1][0]
     assert cert.lambda_y == pytest.approx(math.pi / 4.0, rel=1e-12)
     assert cert.v_value == pytest.approx(2.0, rel=1e-10)
 
@@ -153,7 +146,7 @@ def test_v_dual_interval(interval_problem):
 def test_v_dual_quadratic_integrand(disc_g):
     f = disc_g  # f = |x|^2, homogeneous of degree 2
     problem = SublevelProblem(2, f, disc_g)
-    cert = v_dual_homogeneous(problem, 1.0, SPEC)
+    cert = v_polynomial(problem, 1.0, SPEC)[1][0]
     assert cert.lambda_y == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert cert.v_value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
@@ -171,7 +164,7 @@ def test_dual_identity_against_analytic_oracles(disc_g, interval_g):
     spec = QuadratureSpec(nodes_per_axis=32)
     for problem, oracle in instances:
         for y in (0.5, 1.0, 2.0, 10.0):
-            cert = v_dual_homogeneous(problem, y, spec)
+            cert = v_polynomial(problem, y, spec)[1][0]
             assert abs(cert.v_value - oracle(y)) <= max(1e-6, cert.error_estimate)
 
 
@@ -184,7 +177,7 @@ def test_v_dual_opaque_nonpolynomial_gauge():
     problem = SublevelProblem(2, f_one, g_cubed, f_degree=0, g_degree=3)
     spec = QuadratureSpec(nodes_per_axis=48)
     for y in (0.5, 1.0, 2.0):
-        cert = v_dual_homogeneous(problem, y, spec)
+        cert = v_polynomial(problem, y, spec)[1][0]
         assert cert.method == "dual-cubature"
         assert cert.v_value == pytest.approx(math.pi * y ** (2.0 / 3.0), rel=1e-9)
 
@@ -278,7 +271,7 @@ def test_opaque_f_over_a_quadratic_form_is_priced_only_at_its_degree(disc_g):
     # route unchecked and gave pi for v(1) = pi / 2 under a 3e-14 certificate.
     with pytest.raises(InputError, match="does not scale with its stated degree"):
         SublevelProblem(2, _norm_squared, disc_g, f_degree=0)
-    cert = v_dual_homogeneous(SublevelProblem(2, _norm_squared, disc_g, f_degree=2), 1.0, SPEC)
+    cert = v_polynomial(SublevelProblem(2, _norm_squared, disc_g, f_degree=2), 1.0, SPEC)[1][0]
     assert cert.method == "dual-gaussian"
     assert cert.v_value == pytest.approx(math.pi / 2.0, rel=1e-13)
 
@@ -400,7 +393,7 @@ def test_four_dim_quartic_with_cross_terms_matches_monte_carlo():
 )
 def test_polar_odd_component_within_certificate(dim, f, g):
     problem = SublevelProblem(dim, MultiPoly(dim, f), MultiPoly(dim, g))
-    cert = v_dual_homogeneous(problem, 1.0, SPEC)
+    cert = v_polynomial(problem, 1.0, SPEC)[1][0]
     assert cert.method == "dual-cubature"
     assert abs(cert.v_value) <= cert.error_estimate <= 1e-8
 
@@ -479,7 +472,7 @@ def test_v_polynomial_serves_an_opaque_f_of_stated_degree_as_one_piece(disc_g):
     value, certs = v_polynomial(problem, 1.5, SPEC)
     assert 4 not in calls[2:]  # the problem is dualized as it stands, not rebuilt
     assert len(certs) == 1
-    assert value == v_dual_homogeneous(problem, 1.5, SPEC).v_value
+    assert value == v_polynomial(problem, 1.5, SPEC)[1][0].v_value
     assert value == pytest.approx(1.5 * math.pi, rel=1e-12)
 
 
@@ -489,7 +482,7 @@ def test_polynomial_path_matches_componentwise_duals(disc_g):
     value, certs = v_polynomial(problem, 1.5, SPEC)
     total = 0.0
     for k, f_k in f.homogeneous_components():
-        cert = v_dual_homogeneous(replace(problem, f=f_k, f_degree=k), 1.5, SPEC)
+        cert = v_polynomial(replace(problem, f=f_k, f_degree=k), 1.5, SPEC)[1][0]
         total += cert.v_value
     assert total == value  # identical engine calls, identical accumulation order
 
@@ -587,6 +580,22 @@ def test_find_lambda_invalid_bracket(disc_problem):
         find_lambda_for_target(disc_problem, 1.0, (1.0, 0.5), SPEC)
 
 
+def test_find_lambda_refuses_a_target_that_is_not_finite(disc_problem):
+    # An infinite target was searched for, and ended in a BracketError.
+    for target in (math.inf, math.nan):
+        with pytest.raises(InputError, match="target must be finite and positive"):
+            find_lambda_for_target(disc_problem, target, (1e-3, 1e3), SPEC)
+
+
+def test_an_infinite_level_is_refused_by_name(quartic_g, one_2d):
+    # lambda_y was Gamma(1 + p)^(1/p) / inf = 0, and the polar engine then
+    # raised a raw ValueError from log 0.
+    with pytest.raises(InputError, match="level y must be finite and positive, got inf"):
+        duality.lambda_y_for_order(1.5, math.inf)
+    with pytest.raises(InputError, match="level y must be finite and positive, got inf"):
+        v_polynomial(SublevelProblem(2, one_2d, quartic_g), math.inf, SPEC)
+
+
 def test_initial_value_check_decays(interval_problem, disc_problem):
     assert dual_integral(interval_problem, 1e4, SPEC).value == pytest.approx(
         math.sqrt(math.pi / 1e4), rel=1e-10
@@ -637,7 +646,7 @@ def test_problem_metadata_consistency(disc_g, one_2d):
     constant_g = SublevelProblem(2, one_2d, MultiPoly.constant(2, 2.0))
     assert constant_g.g_degree is None
     with pytest.raises(InputError):
-        v_homogeneous_closed_form(constant_g, 1.0, 1.0)
+        v_polynomial(constant_g, 1.0, SPEC)
     with pytest.raises(InputError):
         SublevelProblem(2, one_2d, MultiPoly.constant(2, 2.0), g_degree=1)
 
@@ -648,7 +657,7 @@ def test_a_misstated_f_degree_cannot_misprice_v(disc_g):
     # under a 2e-14 certificate; only the component route prices it now.
     f = MultiPoly(2, {(0, 0): 1.0, (2, 0): 1.0})
     with pytest.raises(InputError):
-        v_dual_homogeneous(SublevelProblem(2, f, disc_g, f_degree=0), 1.0, SPEC)
+        v_polynomial(SublevelProblem(2, f, disc_g, f_degree=0), 1.0, SPEC)[1][0]
     value, _ = v_polynomial(SublevelProblem(2, f, disc_g), 1.0, SPEC)
     assert value == pytest.approx(5.0 * math.pi / 4.0, rel=1e-13)
 
@@ -876,7 +885,7 @@ def test_v_polynomial_builds_no_piece_problem(g, monkeypatch):
     monkeypatch.undo()
     # Each certificate is its piece's own problem dualized at its own lambda_{y,k}.
     for (k, f_k), cert in zip(problem.f_pieces, certs):
-        alone = v_dual_homogeneous(SublevelProblem(2, f_k, g, f_degree=k), 1.5, SPEC)
+        alone = v_polynomial(SublevelProblem(2, f_k, g, f_degree=k), 1.5, SPEC)[1][0]
         assert alone == cert
     assert v_polynomial(fresh, 1.5, SPEC) == (value, certs)
 
@@ -961,7 +970,7 @@ def test_gaussian_certificate_bounds_high_degree_error(interval_g):
     misses = []
     for k in range(20, 401, 2):
         problem = SublevelProblem(1, MultiPoly.monomial(1, (k,)), interval_g)
-        cert = v_dual_homogeneous(problem, 1.0, SPEC)
+        cert = v_polynomial(problem, 1.0, SPEC)[1][0]
         assert cert.method == "dual-gaussian"
         if abs(cert.v_value - 2.0 / (k + 1)) > cert.error_estimate:
             misses.append(k)
@@ -989,7 +998,7 @@ def test_gaussian_certificate_covers_ill_conditioned_q(r):
     # 1 - r^2 is formed exactly from the binary r, so the reference is
     # good to about an ulp, while the engine's det Q loses ~1 / (1 - r).
     g = MultiPoly(2, {(2, 0): 1.0, (1, 1): 2.0 * r, (0, 2): 1.0})
-    cert = v_dual_homogeneous(SublevelProblem(2, MultiPoly.constant(2, 1.0), g), 1.0, SPEC)
+    cert = v_polynomial(SublevelProblem(2, MultiPoly.constant(2, 1.0), g), 1.0, SPEC)[1][0]
     assert cert.method == "dual-gaussian"
     exact = math.pi / math.sqrt(float(1 - Fraction(r) ** 2))
     assert abs(cert.v_value - exact) <= cert.error_estimate
@@ -1000,7 +1009,7 @@ def test_gaussian_certificate_for_opaque_f(disc_g):
     # its passes double until two agree, and the certificate is the agreement
     # test's rel_tol * max(|v|, magnitude); f = 1 has magnitude v.
     problem = SublevelProblem(2, lambda p: np.ones(p.shape[0]), disc_g, f_degree=0)
-    cert = v_dual_homogeneous(problem, 2.0, SPEC)
+    cert = v_polynomial(problem, 2.0, SPEC)[1][0]
     assert cert.method == "dual-gaussian"
     assert cert.v_value == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert cert.error_estimate == SPEC.rel_tol * cert.v_value

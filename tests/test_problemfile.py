@@ -119,6 +119,23 @@ def test_load_rejects_malformed_json(tmp_path):
         load_problem_file(path)
 
 
+@pytest.mark.parametrize("levels, name", [('"y": 1e400', '"y"'), ('"y_grid": [1.0, 1e400]', '"y_grid" entry')])
+def test_load_refuses_an_infinite_level(levels, name, tmp_path):
+    # JSON reads 1e400 as inf, whose lambda_y is 0: the polar engine then
+    # took log 0 and the CLI printed a traceback.
+    for mode in ('"simplex": true, "alpha_terms": [{"coef": 1.0, "alpha": [0.0]}]',
+                 '"dim": 1, "f": {"dim": 1, "terms": [{"coef": 1.0, "exps": [0]}]}, '
+                 '"g": {"dim": 1, "terms": [{"coef": 1.0, "exps": [4]}]}'):
+        path = tmp_path / "level.json"
+        path.write_text("{" + mode + ", " + levels + "}", encoding="utf-8")
+        with pytest.raises(InputError, match=f"{name} must be a finite positive level, got inf"):
+            load_problem_file(path)
+        # The same level written as an integer is no float at all.
+        path.write_text("{" + mode + ", " + levels.replace("1e400", "1" + "0" * 400) + "}", encoding="utf-8")
+        with pytest.raises(InputError, match=f"{name} must be a number within the double range"):
+            load_problem_file(path)
+
+
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_problem_file(tmp_path / "absent.json")
