@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     UnboundedSublevelError,
 )
-from .polyalg import MultiPoly
+from .polyalg import MultiPoly, _magnitude_power
 from .special import exp_in_range, frexp_exp, log_gamma
 from . import rng
 
@@ -79,6 +79,11 @@ _MAX_SPHERE_POINTS = 1 << 21
 MAX_HERMITE_NODES = 370
 
 _MAX_GAUSSIAN_MOMENTS = 40_000  # per polynomial f, summed over its terms: about 1 s at d = 8-10
+
+# Most samples of a Monte Carlo run: about 12 s at d = 2 and 27 s at d = 8
+# (90 and 200 ns a sample on the disc and on an 8-D quartic).  A run's
+# sample_count * dim RNG counters must also stay below 2^64, where they wrap.
+_MAX_MC_SAMPLES = 1 << 27
 
 _SEED_SPHERE = 0x5F3759DF  # fixed internal stream for sphere sampling
 _SPHERE_SAMPLES = 8192  # random directions sampled by sphere_minimum
@@ -777,7 +782,19 @@ def sublevel_integrand(f, g, y: float):
     puts whole rows of nodes on a flat boundary, such as the simplex's
     at d = 2, and counted in full they bias the estimate by O(1/n).
     The engines call it on one block of rows at a time.
+
+    A MultiPoly f or g is evaluated with ``polyalg._magnitude_power``:
+    x_j^e is |x_j|^e, signed for odd e, whenever e >= 3, off numpy's slow
+    pow on negative bases.  Terms, degrees and overflow are as in
+    ``MultiPoly.__call__``, and wherever every base is nonnegative or
+    every exponent is at most 2 the values are its bits; elsewhere a
+    value may differ from it in the last place.  An opaque f or g runs
+    through its own call.
     """
+    if isinstance(f, MultiPoly):
+        f = partial(f._evaluate, power=_magnitude_power)
+    if isinstance(g, MultiPoly):
+        g = partial(g._evaluate, power=_magnitude_power)
 
     def integrand(pts):
         g_vals = np.asarray(g(pts), dtype=float)
@@ -823,7 +840,9 @@ def monte_carlo_sublevel(
     in the normal range the scale changes no bit.  When a chunk's sum or
     their total overflows, the chunks' scaled sums are added in that
     scale instead, so the mean, no larger than a summand, is returned.  A
-    std_error past the double range is EvaluationError.
+    std_error past the double range is EvaluationError.  More than
+    _MAX_MC_SAMPLES samples, or sample_count * dim counters past 2^64,
+    raise EffortError before any draw.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
@@ -834,12 +853,16 @@ def monte_carlo_sublevel(
     if y < 0:
         raise InputError(f"y must be nonnegative, got {y!r}")
 
+    n_samples = spec.sample_count
+    most = min(_MAX_MC_SAMPLES, ((1 << 64) - 1) // dim)
+    if n_samples > most:
+        raise EffortError(f"a Monte Carlo run in {dim} dimensions takes at most {most} samples, "
+                          f"got {n_samples}")
     try:
         box_volume = (2.0 * radius) ** dim
     except OverflowError:
         raise EvaluationError(
             f"the box volume (2 * {radius})^{dim} overflows double precision") from None
-    n_samples = spec.sample_count
     integrand = sublevel_integrand(f, g, y)
 
     def fill(a, b, out):

@@ -196,12 +196,17 @@ class DualCertificate:
 
 def lambda_y_for_order(order: float, y: float) -> float:
     """Dual value Gamma(1 + order)^(1/order) / y, where ``order`` is the
-    homogeneity degree of v itself; computed through log_gamma."""
+    homogeneity degree of v itself; computed through log_gamma.  A level
+    so small that the value is past the double range, such as a subnormal
+    y, is InputError."""
     if not order > 0:
         raise InputError(f"order must be positive, got {order!r}")
     if not 0 < y < math.inf:
         raise InputError(f"the level y must be finite and positive, got {y!r}")
-    return math.exp(log_gamma(1.0 + order) / order) / y
+    lam = math.exp(log_gamma(1.0 + order) / order) / y
+    if lam == math.inf:
+        raise InputError(f"the level y = {y!r} is too small: its lambda_y is past the double range")
+    return lam
 
 
 def lambda_y_homogeneous(d: int, d_f: float, d_g: float, y: float) -> float:

@@ -16,6 +16,7 @@ is limited to addition, negation and scaling by a scalar.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from numbers import Real
 
@@ -24,6 +25,23 @@ import numpy as np
 from .errors import InputError
 
 Exponents = tuple[int, ...]
+
+
+def _magnitude_power(col, e):
+    """col ** e formed through |col|: numpy's pow takes a slow path on a
+    negative base, about 70 ns an element against 4 ns on its magnitude.
+
+    For e <= 2 it is ``col ** e``.  For e >= 3 it is ``|col| ** e``, with
+    col's sign put back when e is odd.  It equals ``col ** e`` bit for bit
+    where col >= 0, at -0.0 and +-inf, and for every e <= 2; a negative
+    base is within 1 ulp of exact (about 5% of them differ from
+    ``col ** e`` by one ulp), and a nan comes back a nan.  Each element's
+    bits depend only on that element.
+    """
+    if e <= 2:
+        return col ** e
+    v = np.abs(col) ** e
+    return np.copysign(v, col, out=v) if e % 2 else v
 
 
 def _grlex_key(exps: Exponents):
@@ -43,7 +61,10 @@ def _canonical_terms(dim, terms) -> tuple[tuple[Exponents, float], ...]:
         for e in exps:
             if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 0:
                 raise InputError(f"exponents must be nonnegative integers, got {exps!r}")
-        coef = float(coef)
+        try:
+            coef = float(coef)
+        except OverflowError:  # an int past the double range
+            raise InputError(f"coefficient for {exps!r} is past the double range") from None
         if not np.isfinite(coef):
             raise InputError(f"coefficient for {exps!r} is not finite: {coef!r}")
         exps = tuple(int(e) for e in exps)
@@ -92,10 +113,20 @@ class MultiPoly:
             return -1
         return sum(self.terms[-1][0])
 
-    # Overflow yields inf or nan, which the engines report as EvaluationError.
-    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, x):
         """Evaluate at a point of shape (dim,) or at rows of an (N, dim) array."""
+        return self._evaluate(x, operator.pow)
+
+    # Overflow yields inf or nan, which the engines report as EvaluationError.
+    @np.errstate(over="ignore", invalid="ignore")
+    def _evaluate(self, x, power):
+        """The polynomial at ``x``, as ``__call__``, with each x_j^e formed
+        by ``power(column, e)``: ``operator.pow`` in ``__call__``, so that it
+        is ``column ** e``, and ``_magnitude_power`` on the direct estimates
+        (see ``cubature.sublevel_integrand``).  Each term is its coefficient
+        times its powers in variable order, and terms add within a degree
+        before the degrees add in ascending order, whatever the rule, so
+        p(x) == sum of f_k(x) bit for bit under either rule."""
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
         if single:
@@ -116,7 +147,7 @@ class MultiPoly:
             term = np.full(pts.shape[0], coef)
             for j, e in enumerate(exps):
                 if e:
-                    term = term * pts[:, j] ** e
+                    term = term * power(pts[:, j], e)
             partial = partial + term
         total = total + partial
         return float(total[0]) if single else total
@@ -199,5 +230,5 @@ class MultiPoly:
                 raise InputError('"exps" must be a list')
             if isinstance(entry["coef"], bool) or not isinstance(entry["coef"], Real):
                 raise InputError(f'"coef" must be a number, got {entry["coef"]!r}')
-            terms.append((tuple(entry["exps"]), float(entry["coef"])))
+            terms.append((tuple(entry["exps"]), entry["coef"]))
         return cls(doc["dim"], terms)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -527,6 +528,10 @@ def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_
         # An infinite target was a BracketError, exit 3.
         (DISC, ["find-lambda", "--target", "inf"], 2),
         (DISC, ["find-lambda", "--target", "1e400"], 2),
+        # A subnormal level has lambda_y = inf: the disc exited 2 naming lam,
+        # the quartic 3.
+        *[(dict(doc, y=1e-310), [command], 2)
+          for doc in (DISC, dict(X40, f=DISC["f"])) for command in ("integrate", "sweep")],
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
@@ -536,7 +541,9 @@ def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_
          "infinite-level-integrate", "infinite-level-sweep", "infinite-level-laplace-check",
          "infinite-level-mvt", "infinite-level-find-lambda", "infinite-level-in-grid",
          "infinite-level-disc", "infinite-level-simplex", "rel-tol-inf-gaussian", "rel-tol-inf-polar",
-         "rel-tol-bool", "box-radius-bool", "box-radius-inf", "target-inf", "target-past-double-range"],
+         "rel-tol-bool", "box-radius-bool", "box-radius-inf", "target-inf", "target-past-double-range",
+         "subnormal-level-integrate-disc", "subnormal-level-sweep-disc",
+         "subnormal-level-integrate-quartic", "subnormal-level-sweep-quartic"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)
@@ -545,6 +552,32 @@ def test_exit_code_contract(problem, argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
     if code == 2 and "engine" in problem.get("quadrature", {}):
         assert "engine" in proc.stderr
+
+
+@pytest.mark.parametrize("g", [DISC["g"], X40["g"]], ids=["disc", "quartic"])
+@pytest.mark.parametrize("command", ["integrate", "sweep"])
+def test_a_subnormal_level_is_refused_by_name(command, g, tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", dict(DISC, g=g, y=1e-310))
+    assert main([command, "--input", path]) == 2
+    assert "the level y = 1e-310 is too small" in capsys.readouterr().err
+
+
+def test_a_coefficient_past_the_double_range_exits_2(tmp_path):
+    # JSON reads the coefficient 1 followed by 400 zeros as an int, which
+    # float() cannot convert: it exited 1 with a traceback.
+    doc = dict(DISC, f={"dim": 2, "terms": [{"coef": 10**400, "exps": [0, 0]}]})
+    proc = run_cli("integrate", "--input", write_problem(tmp_path / "p.json", doc))
+    assert proc.returncode == 2
+    assert "past the double range" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_an_oversized_monte_carlo_run_exits_3_at_once(tmp_path, capsys):
+    # 10^400 samples ran 2^19-sample chunks for minutes.
+    path = write_problem(tmp_path / "p.json", dict(DISC, quadrature={"sample_count": 10**400}))
+    start = time.perf_counter()
+    assert main(["integrate", "--input", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "a Monte Carlo run in 2 dimensions takes at most" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["integrate"], ["integrate", "--output", "csv"], ["sweep"],
@@ -692,6 +725,11 @@ SMALL_SIMPLEX = dict(SIMPLEX, quadrature=SMALL)
 SMALL_SIMPLEX_4D = dict(SMALL_SIMPLEX, y=2.0, alpha_terms=[
     {"coef": 1.0, "alpha": [-0.5, 0.0, -0.5, 0.0]}, {"coef": 0.5, "alpha": [0.0, 0.0, 0.0, 0.0]},
 ])
+# f = 1 + x1^3 x2 + x1^4 over x1^4 + x2^4: f has two pieces, and the direct
+# estimates form odd and even powers of negative coordinates through |x|.
+SMALL_MIXED_QUARTIC = dict(SMALL_DISC, g=X40["g"], f={"dim": 2, "terms": [
+    {"coef": 1.0, "exps": [0, 0]}, {"coef": 1.0, "exps": [3, 1]}, {"coef": 1.0, "exps": [4, 0]},
+]})
 
 # case -> (problem file or None, argv, JSON key shape, CSV header)
 SHAPES = {
@@ -699,6 +737,11 @@ SHAPES = {
         SMALL_DISC, ["integrate"],
         ["mode", "y", "v_dual", ("certificates", [CERT_KEYS]), "v_closed_form", *DIRECT_KEYS,
          "rel_diff_dual_vs_mc", "seed"],
+        CERT_CSV,
+    ),
+    "integrate-poly-two-pieces": (
+        SMALL_MIXED_QUARTIC, ["integrate"],
+        ["mode", "y", "v_dual", ("certificates", [CERT_KEYS]), *DIRECT_KEYS, "rel_diff_dual_vs_mc", "seed"],
         CERT_CSV,
     ),
     "integrate-tau": (

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from lapdual import (
     lambda_y_homogeneous,
     monte_carlo_sublevel,
     sphere_minimum,
+    v_polynomial,
 )
 from lapdual import cubature, rng
 from lapdual.cubature import MAX_HERMITE_NODES
+from lapdual.polyalg import _magnitude_power
 from lapdual.simplex import simplex_box_indicator
 
 MC_SPEC = QuadratureSpec(sample_count=10**6, seed=0)
@@ -279,7 +282,9 @@ def test_sublevel_integrand_runs_f_inside_and_halves_the_level_set():
 
 
 def _boolean_index_integrand(f, g, y):
-    """``sublevel_integrand`` with its rows taken by boolean indexing."""
+    """``sublevel_integrand`` with its rows taken by boolean indexing, and
+    its MultiPoly f and g evaluated by the same power rule."""
+    f, g = (partial(h._evaluate, power=_magnitude_power) for h in (f, g))
 
     def integrand(pts):
         g_vals = np.asarray(g(pts), dtype=float)
@@ -308,6 +313,24 @@ def test_sublevel_integrand_equals_a_boolean_index_reference(d):
             assert got.tobytes() == _boolean_index_integrand(f, g, y)(pts).tobytes()
             assert inside is None or np.count_nonzero(g_vals <= y) == inside
     assert 0 < np.count_nonzero(g(wide[:, :d]) <= on_level) < len(wide)
+
+
+def test_direct_estimates_evaluate_polynomials_off_their_call(monkeypatch):
+    # f = 1 + x^3 y + x^4 over x^4 + y^4: odd and even powers of negative
+    # bases, formed by the magnitude rule and not by MultiPoly.__call__.
+    f = MultiPoly(2, {(0, 0): 1.0, (3, 1): 1.0, (4, 0): 1.0})
+    g = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})
+    exact, _ = v_polynomial(SublevelProblem(2, f, g), 1.0, QuadratureSpec())
+    radius = auto_enclosing_radius(g, 1.0)
+
+    def refuse(self, x):
+        raise AssertionError("MultiPoly.__call__ ran")
+
+    monkeypatch.setattr(MultiPoly, "__call__", refuse)
+    mc = monte_carlo_sublevel(f, g, 2, 1.0, radius, QuadratureSpec(sample_count=200_000, seed=5))
+    assert abs(mc.value - exact) <= 4.0 * mc.std_error
+    box, _, _ = box_pass(cubature.sublevel_integrand(f, g, 1.0), 2, radius, 128)
+    assert box == pytest.approx(exact, rel=1e-2)
 
 
 def test_gaussian_quadratic_identity_weight():
@@ -461,6 +484,18 @@ def test_monte_carlo_unbiased_at_scale(disc_g, one_2d):
         if abs(est.value - math.pi) <= 3.0 * est.std_error:
             hits += 1
     assert hits >= 45
+
+
+@pytest.mark.parametrize("samples, dim", [(10**400, 2), (cubature._MAX_MC_SAMPLES + 1, 1), (1 << 25, 1 << 40)])
+def test_monte_carlo_refuses_an_oversized_run_before_any_draw(samples, dim, monkeypatch):
+    # 10^400 samples ran 2^19-sample chunks for minutes; 2^25 samples in 2^40
+    # dimensions need 2^65 RNG counters, which wrap.
+    draws = []
+    monkeypatch.setattr(rng, "uniforms", lambda *args: draws.append(args))
+    spec = QuadratureSpec(sample_count=samples)
+    with pytest.raises(EffortError, match=r"takes at most \d+ samples"):
+        monte_carlo_sublevel(lambda p: np.ones(len(p)), lambda p: np.zeros(len(p)), dim, 1.0, 1.0, spec)
+    assert draws == []
 
 
 def test_monte_carlo_std_error_reads_the_spread_at_both_ends_of_the_double_range():

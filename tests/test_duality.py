@@ -71,6 +71,14 @@ def test_lambda_y_validation():
         lambda_y_homogeneous(1, 0, 2, 0.0)
 
 
+def test_a_level_whose_lambda_y_overflows_is_refused_by_name():
+    # lambda_y = 1 / y at order 1: finite down to y = 1 / DBL_MAX.
+    assert lambda_y_homogeneous(1, 0, 1, 1e-308) == 1e308
+    for y in (5e-309, 1e-310, 5e-324):
+        with pytest.raises(InputError, match=f"the level y = {y!r} is too small"):
+            lambda_y_homogeneous(1, 0, 1, y)
+
+
 def test_dual_constant_over_y_grid():
     const = lambda_y_homogeneous(2, 0, 4, 1.0)
     for y in np.geomspace(0.05, 50.0, 20):

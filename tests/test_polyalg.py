@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lapdual import InputError, MultiPoly
+from lapdual.polyalg import _magnitude_power
 
 
 def _random_poly(rng, dim, n_terms, max_exp=5):
@@ -180,3 +184,84 @@ def test_non_finite_coefficients_rejected():
         MultiPoly(1, {(1,): float("nan")})
     with pytest.raises(InputError):
         MultiPoly(1, {(1,): float("inf")})
+
+
+def test_a_coefficient_past_the_double_range_is_input_error():
+    with pytest.raises(InputError, match="past the double range"):
+        MultiPoly(1, {(1,): 10**400})
+    with pytest.raises(InputError, match="past the double range"):
+        MultiPoly.from_json_dict({"dim": 1, "terms": [{"coef": -(10**400), "exps": [2]}]})
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308]
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def test_magnitude_power_is_pow_where_the_base_is_nonnegative_or_e_at_most_2():
+    rng = np.random.default_rng(3)
+    nonnegative = np.concatenate([rng.uniform(0.0, 3.0, 2000), [0.0, np.inf, np.nan, 5e-324, 1e308]])
+    signed = np.concatenate([rng.uniform(-3.0, 3.0, 2000), SPECIAL])
+    for e in range(13):
+        assert _bits(_magnitude_power(nonnegative, e)) == _bits(nonnegative ** e)
+        # -0.0 and -inf keep the sign that pow gives them at every e.
+        assert _bits(_magnitude_power(np.array([-0.0, -np.inf]), e)) == _bits(np.array([-0.0, -np.inf]) ** e)
+        # A nan of either sign comes back a nan (x ** 0 is 1 for every x).
+        assert np.isnan(_magnitude_power(np.array([np.nan, -np.nan]), e)).all() == (e > 0)
+        if e <= 2:
+            assert _bits(_magnitude_power(signed, e)) == _bits(signed ** e)
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def test_magnitude_power_bits_depend_only_on_the_element():
+    wide = np.random.default_rng(4).uniform(-3.0, 3.0, (1001, 3))
+    for e in range(13):
+        whole = _bits(_magnitude_power(wide[:, 1].copy(), e))
+        assert _bits(_magnitude_power(wide[:, 1], e)) == whole  # a strided column
+        assert _bits(_magnitude_power(wide[::7, 1], e)) == whole[::7]
+        assert _bits(_magnitude_power(wide[-3:, 1], e)) == whole[-3:]  # a short tail
+        assert [_bits(_magnitude_power(wide[i:i + 1, 1], e))[0] for i in range(0, 1001, 97)] == whole[::97]
+
+
+def test_magnitude_power_is_within_one_ulp_on_negative_bases():
+    xs = np.random.default_rng(5).uniform(-3.0, 0.0, 500)
+    for e in range(3, 13):
+        got = _magnitude_power(xs, e)
+        for x, v in zip(xs.tolist(), got.tolist()):
+            assert abs(Fraction(v) - Fraction(x) ** e) <= Fraction(math.ulp(v))
+
+
+def test_component_sum_reproduces_evaluation_exactly_under_the_magnitude_rule():
+    rng = np.random.default_rng(20240812)
+    for _ in range(100):
+        dim = int(rng.integers(1, 4))
+        p = _random_poly(rng, dim, int(rng.integers(1, 9)), max_exp=7)
+        x = rng.normal(size=(20, dim)) * 2.0
+        total = np.zeros(20)
+        for _, f_k in p.homogeneous_components():
+            total = total + f_k._evaluate(x, _magnitude_power)
+        assert _bits(total) == _bits(p._evaluate(x, _magnitude_power))
+
+
+def test_call_forms_each_power_with_pow():
+    # The loop __call__ has always run, written out: term products in
+    # variable order, summed within a degree, then over ascending degrees.
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        dim = int(rng.integers(1, 4))
+        p = _random_poly(rng, dim, int(rng.integers(1, 9)), max_exp=7)
+        x = rng.uniform(-3.0, 3.0, (30, dim))
+        by_degree = {}
+        for exps, coef in p.terms:
+            term = np.full(30, coef)
+            for j, e in enumerate(exps):
+                if e:
+                    term = term * x[:, j] ** e
+            by_degree[sum(exps)] = by_degree.get(sum(exps), np.zeros(30)) + term
+        total = np.zeros(30)
+        for k in sorted(by_degree):
+            total = total + by_degree[k]
+        assert _bits(p(x)) == _bits(total)
