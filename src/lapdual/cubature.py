@@ -610,38 +610,51 @@ def _sphere_integral(f, g, dim: int, p: float, spec: QuadratureSpec):
     ``spec.nodes_per_axis``, halved until twice that fits too, and doubling
     until two passes differ by at most ``spec.rel_tol`` times the later pass's
     magnitude, max(|value|, sum of w * |f g^(-p)|), as in ``integrate_box``.
-    UnboundedSublevelError when g is not positive at a node (g vanishes on a
-    ray, so its sublevel sets are unbounded), EvaluationError on a non-finite
-    value, EffortError when no two passes agree before the next would exceed
-    2^21 points, and before any pass when fewer than two fit even from 1 node
-    (dim >= 22).  dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5
-    1e-4 but not 1e-9.
+    UnboundedSublevelError when g is not positive at a node or an axis probe
+    (g vanishes or turns negative on a ray, so its sublevel sets are
+    unbounded), EvaluationError on a non-finite value or when f is not zero
+    at every node but the sums' magnitude is below the normal double range
+    (g^(-p) underflowed, so the value would be 0 or subnormal), EffortError
+    when no two passes agree before the next would exceed 2^21 points, and
+    before any pass when fewer than two fit even from 1 node (dim >= 22).
+    dim 4 from 32 or fewer nodes reaches rel_tol 1e-9, dim 5 1e-4 but not 1e-9.
     """
+    f_nonzero = False
 
     def h(pts):
+        nonlocal f_nonzero
         g_vals = np.asarray(g(pts), dtype=float)
         if np.any(g_vals <= 0.0):
             raise UnboundedSublevelError(
-                "g is not positive on the unit sphere (it vanishes on a ray); "
+                "g is not positive on the unit sphere (it vanishes or turns negative on a ray); "
                 "its sublevel sets are unbounded"
             )
+        f_vals = np.asarray(f(pts), dtype=float)
+        f_nonzero = f_nonzero or bool(np.any(f_vals))
         with np.errstate(over="ignore"):
-            return np.asarray(f(pts), dtype=float) * g_vals ** -p
+            return f_vals * g_vals ** -p
 
     if dim == 1:
         # S^0 = {+1, -1} under counting measure: the two-point sum is exact.
-        return _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
-    # The axes are where a degenerate g such as x1^2 most often vanishes,
-    # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
-    # polar rules skip the poles and cos(pi/2) != 0 in floating point.
-    h(np.vstack((np.eye(dim), -np.eye(dim))))
-    size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
-    n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
-    return _doubling(
-        partial(_sphere_sum, h, dim), n, size, _MAX_SPHERE_POINTS, spec.rel_tol,
-        "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
-        "more nodes than the cap allows",
-    )[:3]
+        sums = _tensor_apply(h, [(np.array([1.0, -1.0]), np.ones(2))])
+    else:
+        # The axes are where a degenerate g such as x1^2 most often vanishes,
+        # and the grids hit few of them: d = 2 has +e1 at angle 0, but the
+        # polar rules skip the poles and cos(pi/2) != 0 in floating point.
+        h(np.vstack((np.eye(dim), -np.eye(dim))))
+        size = (lambda n: n) if dim == 2 else (lambda n: 2 * n ** (dim - 1))
+        n = _two_pass_start(spec.nodes_per_axis, lambda m: size(m) <= _MAX_SPHERE_POINTS)
+        sums = _doubling(
+            partial(_sphere_sum, h, dim), n, size, _MAX_SPHERE_POINTS, spec.rel_tol,
+            "the sphere rule", "g may vanish or nearly vanish on a ray, or the rule may need "
+            "more nodes than the cap allows",
+        )[:3]
+    if f_nonzero and sums[1] < sys.float_info.min:
+        raise EvaluationError(
+            f"the sphere sum of f * g^(-p), p = {p}, is below the double range "
+            f"(magnitude {sums[1]}): g^(-p) underflows on the sphere"
+        )
+    return sums
 
 
 def _moment_count(exps, cap):
@@ -743,10 +756,13 @@ def integrate_gaussian_quadratic(
         # Exact, so only rounding is left: about dim + 3 roundings (Sigma, the
         # recursion's sums) per unit of deg f + dim, times the condition number
         # of Q's correlation matrix D^(-1/2) Q D^(-1/2), D = diag(Q), lost by the
-        # Cholesky factor and det Q.  max(|v|, magnitude) keeps a cancelling f honest.
+        # Cholesky factor and det Q; and exp(log_scale), whose argument is
+        # rounded to about |log_scale| ulps, so the bound grows with |log lam|.
+        # max(|v|, magnitude) keeps a cancelling f honest.
         diag = np.sqrt(np.diag(Q))
         kappa = float(np.linalg.cond(Q / np.outer(diag, diag)))
-        rel_error = (f.degree + dim) * (dim + 3) * kappa * sys.float_info.epsilon
+        rounding = (f.degree + dim) * (dim + 3) * kappa + 2.0 * (abs(log_scale) + 1.0)
+        rel_error = rounding * sys.float_info.epsilon
         effort = len(moments)
     else:
         def hermite_pass(n):
@@ -957,6 +973,14 @@ def sphere_minimum(g, dim: int) -> float:
     return float(np.min(vals))
 
 
+def _positive_sphere_minimum(m_hat: float) -> float:
+    """m_hat, a sampled minimum of g over the unit sphere; UnboundedSublevelError unless positive."""
+    if m_hat <= 0:
+        raise UnboundedSublevelError(f"g is not positive away from the origin (sphere minimum {m_hat}); "
+                                     "its sublevel sets are unbounded")
+    return m_hat
+
+
 def auto_enclosing_radius(g: MultiPoly, y: float) -> float:
     """Box half-width guaranteed to enclose {g <= y} for homogeneous g.
 
@@ -973,12 +997,7 @@ def auto_enclosing_radius(g: MultiPoly, y: float) -> float:
     y = float(y)
     if y < 0:
         raise InputError(f"y must be nonnegative, got {y!r}")
-    m_hat = sphere_minimum(g, g.dim)
-    if m_hat <= 0:
-        raise UnboundedSublevelError(
-            f"g is not positive away from the origin (sphere minimum {m_hat}); "
-            "its sublevel sets are unbounded"
-        )
+    m_hat = _positive_sphere_minimum(sphere_minimum(g, g.dim))
     if y == 0.0:
         return 0.0
     return (y / m_hat) ** (1.0 / degree) * _ENCLOSING_MARGIN

@@ -55,7 +55,6 @@ from .cubature import (
     sphere_minimum,
 )
 from .errors import BracketError, EffortError, EvaluationError, EvaluationNoiseError, InputError
-from .errors import UnboundedSublevelError
 from .polyalg import MultiPoly
 from .special import log_gamma
 
@@ -64,7 +63,7 @@ METHOD_DUAL_CUBATURE = "dual-cubature"
 METHOD_DUAL_GAUSSIAN = "dual-gaussian"
 METHOD_ROOT_FOUND = "root-found"
 
-# Nonnegativity tolerance for opportunistic checks of g at touched points.
+# Nonnegativity tolerance of the box route's check of g at the points it touches.
 _G_NONNEG_TOL = 1e-12
 
 # Relative tolerance of the axis-probe check of a stated degree.
@@ -103,12 +102,12 @@ class SublevelProblem:
     non-finite value is left to the engines).  A stated degree must be a
     finite real number with f_degree >= 0 and g_degree >= 1; a constant
     g has no degree (None, never 0).  g is assumed nonnegative with
-    compact sublevel sets and is checked opportunistically at the points
-    the engines touch.  ``f_pieces`` (derived; not in ==, hash or repr) is
-    the one split of f every dual reads, its homogeneous pieces (k, f_k)
-    ascending in k: ((f_degree, f),) when f has a degree, counted or stated;
-    the components of any other MultiPoly (() for zero); None for an opaque
-    f with no degree.
+    compact sublevel sets; each route of ``dual_integral`` checks it once,
+    at the points its engine touches.  ``f_pieces`` (derived; not in ==,
+    hash or repr) is the one split of f every dual reads, its homogeneous
+    pieces (k, f_k) ascending in k: ((f_degree, f),) when f has a degree,
+    counted or stated; the components of any other MultiPoly (() for zero);
+    None for an opaque f with no degree.
 
     Two private fields are derived too, and kept as long as the problem:
     ``_gaussian_q``, the read-only Q with g(x) = x'Qx when g is a
@@ -174,7 +173,11 @@ class SublevelProblem:
 @dataclass(frozen=True)
 class DualCertificate:
     """Record tying a value of v(y) to the dual representation that
-    produced it: v(y) = integral of f * exp(-lambda_y * g)."""
+    produced it: v(y) = integral of f * exp(-lambda_y * g).
+
+    InputError unless y and lambda_y are finite and positive and
+    error_estimate is a nonnegative number.  v_value is not checked: a
+    value past the double range is refused where it is printed."""
 
     y: float
     lambda_y: float
@@ -183,12 +186,12 @@ class DualCertificate:
     error_estimate: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise InputError(f"certificate y must be positive, got {self.y!r}")
-        if not self.lambda_y > 0:
-            raise InputError(f"certificate lambda_y must be positive, got {self.lambda_y!r}")
-        if self.error_estimate < 0:
-            raise InputError("error_estimate must be nonnegative")
+        if not 0 < self.y < math.inf:
+            raise InputError(f"certificate y must be finite and positive, got {self.y!r}")
+        if not 0 < self.lambda_y < math.inf:
+            raise InputError(f"certificate lambda_y must be finite and positive, got {self.lambda_y!r}")
+        if not self.error_estimate >= 0:
+            raise InputError(f"error_estimate must be nonnegative, got {self.error_estimate!r}")
 
     def csv_row(self) -> tuple:
         return (self.y, self.lambda_y, self.v_value, self.method, self.error_estimate)
@@ -226,22 +229,6 @@ def lambda_y_homogeneous(d: int, d_f: float, d_g: float, y: float) -> float:
     return lambda_y_for_order((d + d_f) / d_g, y)
 
 
-def _checked_g(problem: SublevelProblem):
-    g = problem.g
-
-    def g_eval(pts):
-        vals = np.asarray(g(pts), dtype=float)
-        bad = vals < -_G_NONNEG_TOL * (1.0 + np.abs(vals))
-        if np.any(bad):
-            raise InputError(
-                "g evaluated negatively at a touched point "
-                f"(min value {float(np.min(vals))}); g must be nonnegative"
-            )
-        return vals
-
-    return g_eval
-
-
 def _quadratic_form_matrix(g: MultiPoly) -> np.ndarray | None:
     """Q, read-only, with g(x) = x'Qx when g is a positive-definite quadratic form."""
     if g.homogeneity_degree() != 2:
@@ -267,8 +254,8 @@ def _piece_dual(problem: SublevelProblem, k, f_k, lam: float, spec: QuadratureSp
     """The integral of f_k * exp(-lam * g) for one piece (k, f_k) of
     ``problem.f_pieces``, g homogeneous: the Gaussian-weight rule on
     ``problem._gaussian_q`` when there is one, else the polar engine on
-    the sphere sum of f_k * g^(-p), p = (dim + k)/d_g, with g checked for
-    nonnegativity at every node.
+    the sphere sum of f_k * g^(-p), p = (dim + k)/d_g, which refuses a g
+    that is not positive at a node or an axis probe.
 
     That sum does not depend on lam, so the problem's store keeps it under
     (k, spec) for every later call, and every result is the same bits as on
@@ -281,7 +268,7 @@ def _piece_dual(problem: SublevelProblem, k, f_k, lam: float, spec: QuadratureSp
     p = (problem.dim + k) / d_g
     sums = store.get((k, spec))
     if sums is None:
-        sums = store[k, spec] = cubature._sphere_integral(f_k, _checked_g(problem), problem.dim, p, spec)
+        sums = store[k, spec] = cubature._sphere_integral(f_k, problem.g, problem.dim, p, spec)
     return cubature.polar_estimate(sums, p, d_g, lam, spec)
 
 
@@ -290,21 +277,27 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
 
     Dispatches on the structure of the data, in this order:
 
-    1. g a positive-definite quadratic form: the Gaussian-weight rule.
+    1. g a positive-definite quadratic form and an opaque f with no
+       degree: the Gaussian-weight rule on the whole f (Gauss-Hermite).
     2. ``problem.g_degree`` known, and ``problem.f_pieces`` too, in any
-       dim: ``_piece_dual`` of each piece of f, summed in ascending
-       degree by ``math.fsum`` (a zero f: exactly 0.0, no evaluation).
-       Stated degrees were checked when the problem was built.
+       dim: ``_piece_dual`` of each piece of f, as in ``v_polynomial``,
+       summed in ascending degree by ``math.fsum`` with their efforts,
+       magnitudes and error estimates.  The engine is gaussian-quadratic
+       when g is a positive-definite quadratic form, else polar, a zero f
+       included (exactly 0.0, no evaluation).  Stated degrees were checked
+       when the problem was built.
     3. Anything else (an opaque f or a g of no degree): box Gauss-Legendre
        with an automatic radius.  When g has a degree, the initial radius
        puts the weight's boundary exponent at 40, and a g whose sampled
        sphere minimum is not positive raises UnboundedSublevelError.
 
     Every engine gets ``spec`` unchanged; the box engine chooses and
-    verifies its own box, so ``spec.box_radius`` is not used.  g is
-    checked for nonnegativity at every point the polar and box engines
-    touch.  The result's ``error_estimate`` is the chosen engine's own;
-    certificates and the root search read it.
+    verifies its own box, so ``spec.box_radius`` is not used.  Each route
+    checks g once: the polar engine refuses a g that is not positive at
+    any node (UnboundedSublevelError), and the box route one that is
+    negative at any point it touches (InputError).  The result's
+    ``error_estimate`` is the chosen engine's own; certificates and the
+    root search read it.
 
     When g has no degree, the box's starting radius does not depend on
     lam, so the problem's store keeps the weights, f and g values of each
@@ -314,29 +307,31 @@ def dual_integral(problem: SublevelProblem, lam: float, spec: QuadratureSpec) ->
     """
     if not 0 < lam < math.inf:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
-    if problem._gaussian_q is not None:
-        return integrate_gaussian_quadratic(problem.f, problem._gaussian_q, lam, spec)
-    d_g, pieces = problem.g_degree, problem.f_pieces
+    d_g, pieces, q = problem.g_degree, problem.f_pieces, problem._gaussian_q
+    if q is not None and pieces is None:
+        return integrate_gaussian_quadratic(problem.f, q, lam, spec)
     if d_g is not None and pieces is not None:
         parts = [_piece_dual(problem, k, f_k, lam, spec) for k, f_k in pieces]
         return IntegralEstimate(
-            math.fsum(e.value for e in parts), None, ENGINE_POLAR, sum(e.effort for e in parts),
-            None, math.fsum(e.magnitude for e in parts), math.fsum(e.error_estimate for e in parts),
+            math.fsum(e.value for e in parts), None, ENGINE_POLAR if q is None else ENGINE_GAUSSIAN,
+            sum(e.effort for e in parts), None, math.fsum(e.magnitude for e in parts),
+            math.fsum(e.error_estimate for e in parts),
         )
 
-    f_eval, g_eval = problem.f, _checked_g(problem)
+    f, g = problem.f, problem.g
 
     def f_and_g(pts):
-        g_vals = g_eval(pts)
-        return np.asarray(f_eval(pts), dtype=float), g_vals
+        g_vals = np.asarray(g(pts), dtype=float)
+        if np.any(g_vals < -_G_NONNEG_TOL * (1.0 + np.abs(g_vals))):
+            raise InputError(f"g evaluated negatively at a touched point (min value "
+                             f"{float(np.min(g_vals))}); g must be nonnegative")
+        return np.asarray(f(pts), dtype=float), g_vals
 
     phi = SplitIntegrand(f_and_g, lambda f_vals, g_vals: f_vals * np.exp(-lam * g_vals))
     if d_g is None:
         return integrate_box(phi, problem.dim, spec, memo=problem._lam_free)
     # Homogeneity gives a principled starting box: the weight's exponent reaches 40 at its boundary.
-    m_hat = sphere_minimum(problem.g, problem.dim)
-    if m_hat <= 0:
-        raise UnboundedSublevelError(f"g is not positive away from the origin (sphere minimum {m_hat})")
+    m_hat = cubature._positive_sphere_minimum(sphere_minimum(g, problem.dim))
     radius = (_TAIL_EXPONENT / (lam * m_hat)) ** (1.0 / d_g)
     return integrate_box(phi, problem.dim, spec, initial_radius=radius)
 

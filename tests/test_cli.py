@@ -532,6 +532,10 @@ def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_
         # the quartic 3.
         *[(dict(doc, y=1e-310), [command], 2)
           for doc in (DISC, dict(X40, f=DISC["f"])) for command in ("integrate", "sweep")],
+        # x^400 over 1e12 x^4 at y = 1e12 is the unscaled set at y = 1 (v = 2/401),
+        # but g^(-p) at +-1 underflows: the polar sum printed 0.0 +- 5e-324.
+        (dict(X400, g={"dim": 1, "terms": [{"coef": 1e12, "exps": [4]}]}, y=1e12,
+              quadrature={"sample_count": 2000}), ["integrate"], 3),
     ],
     ids=["lambdas-word", "lambdas-empty", "engine-key", "x400-integrate", "x400-laplace-check",
          "mc-box-volume", "find-lambda-infinite-bracket", "laplace-check-fsum-overflow",
@@ -543,7 +547,8 @@ def test_laplace_check_past_the_double_range_exits_3_without_a_warning(doc, tmp_
          "infinite-level-disc", "infinite-level-simplex", "rel-tol-inf-gaussian", "rel-tol-inf-polar",
          "rel-tol-bool", "box-radius-bool", "box-radius-inf", "target-inf", "target-past-double-range",
          "subnormal-level-integrate-disc", "subnormal-level-sweep-disc",
-         "subnormal-level-integrate-quartic", "subnormal-level-sweep-quartic"],
+         "subnormal-level-integrate-quartic", "subnormal-level-sweep-quartic",
+         "polar-sum-below-double-range"],
 )
 def test_exit_code_contract(problem, argv, code, tmp_path):
     path = write_problem(tmp_path / "p.json", problem)

@@ -1083,3 +1083,106 @@ def test_v_polynomial_over_a_quadratic_form_in_high_dimension(dim):
     exact = separable_power_integral(f_terms, a, 1.0, 2) / math.gamma(1.0 + (dim + 4) / 2.0)
     assert [c.method for c in certs] == ["dual-gaussian"]
     assert abs(value - exact) <= certs[0].error_estimate
+
+
+_LEVELS = [1e-300, 1e-200, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("y", _LEVELS)
+def test_certificates_bound_the_error_at_every_level(y, disc_g):
+    # The Gaussian rule scales its moments by exp(log_scale), whose argument
+    # grows with |log lam| and is rounded to about that many ulps; a bound
+    # of (deg f + d)(d + 3) kappa eps alone missed at seven of these levels.
+    quartic = MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0})
+    unit_quartic = 4.0 * math.gamma(1.25) ** 2 / math.gamma(1.5)
+    for g, method, exact in [(disc_g, "dual-gaussian", math.pi * y),
+                             (quartic, "dual-cubature", unit_quartic * math.sqrt(y))]:
+        value, (cert,) = v_polynomial(SublevelProblem(2, MultiPoly.constant(2, 1.0), g), y, SPEC)
+        assert cert.method == method
+        assert abs(value - exact) <= cert.error_estimate
+
+
+@pytest.mark.parametrize("dim, f, g", [
+    (1, {(400,): 1.0}, {(4,): 1e12}),
+    (2, {(200, 0): 1.0}, {(4, 0): 1e12, (0, 4): 1e12}),
+], ids=["d1", "d2"])
+def test_a_sphere_sum_below_the_double_range_is_refused(dim, f, g):
+    # At y = 1e12 these sets are the unscaled g's at y = 1 (v = 2/401 and
+    # 6.754e-3), but g^(-p) on the sphere is about 1e-1203 and 1e-606: the
+    # sums were 0.0 and the certificates claimed 5e-324.
+    problem = SublevelProblem(dim, MultiPoly(dim, f), MultiPoly(dim, g))
+    with pytest.raises(EvaluationError, match="below the double range"):
+        v_polynomial(problem, 1e12, SPEC)
+    with pytest.raises(EvaluationError, match="below the double range"):
+        dual_integral(problem, 1.0, SPEC)
+
+
+def test_a_zero_opaque_f_on_the_sphere_is_exactly_zero():
+    # The sums' magnitude is 0 because f is, not because g^(-p) underflowed.
+    problem = SublevelProblem(2, lambda p: np.zeros(p.shape[0]), MultiPoly(2, {(4, 0): 1.0, (0, 4): 1.0}),
+                              f_degree=2)
+    est = dual_integral(problem, 1.0, SPEC)
+    assert est.engine == "polar" and est.value == 0.0
+
+
+@pytest.mark.parametrize("fields", [
+    (1.0, 1.0, 1.0, "dual-gaussian", math.nan),
+    (math.inf, 1.0, 1.0, "dual-gaussian", 0.0),
+    (math.nan, 1.0, 1.0, "dual-gaussian", 0.0),
+    (1.0, math.inf, 1.0, "dual-gaussian", 0.0),
+    (1.0, math.nan, 1.0, "dual-gaussian", 0.0),
+], ids=["error-nan", "y-inf", "y-nan", "lambda-inf", "lambda-nan"])
+def test_certificate_refuses_non_finite_fields(fields):
+    with pytest.raises(InputError):
+        DualCertificate(*fields)
+
+
+def test_certificate_leaves_its_value_to_the_printer():
+    # A simplex term's coef * v past the double range must reach the CLI's
+    # renderer, which exits 3.
+    assert DualCertificate(1.0, 1.0, math.inf, "closed-form", 0.0).v_value == math.inf
+
+
+@pytest.mark.parametrize("Q", [
+    [[1.0, 0.4], [0.4, 2.0]],
+    [[2.0, 0.5, -0.3], [0.5, 1.5, 0.2], [-0.3, 0.2, 1.0]],
+], ids=["d2", "d3"])
+def test_gaussian_dual_sums_the_pieces_of_f(Q):
+    # dual_integral takes v_polynomial's path: one Gaussian dual per
+    # homogeneous piece of f, summed in ascending degree.
+    dim = len(Q)
+    pad = (0,) * (dim - 2)
+    f_terms = {
+        (0, 0) + pad: 1.5, (2, 0) + pad: -1.0, (1, 1) + pad: 0.7, (1, 0) + pad: 5.0,
+        (3, 1) + pad: -0.4, (2, 4) + pad: 0.3, (1, 3) + pad: 2.0,
+    }
+    if dim == 3:
+        f_terms.update({(1, 1, 2): 2.0, (2, 2, 2): 0.3, (0, 1, 5): -0.8})
+    g = MultiPoly(dim, {
+        tuple(int(i == a) + int(i == b) for i in range(dim)): Q[a][b] * (1.0 if a == b else 2.0)
+        for a in range(dim) for b in range(a, dim)
+    })
+    problem = SublevelProblem(dim, MultiPoly(dim, f_terms), g)
+    assert problem._gaussian_q is not None and len(problem.f_pieces) > 1
+    parts = [duality._piece_dual(problem, k, f_k, 0.7, SPEC) for k, f_k in problem.f_pieces]
+    est = dual_integral(problem, 0.7, SPEC)
+    assert est.engine == "gaussian-quadratic"
+    assert est.value == math.fsum(p.value for p in parts)
+    assert est.effort == sum(p.effort for p in parts)
+    assert est.error_estimate == math.fsum(p.error_estimate for p in parts)
+
+
+def test_zero_f_over_a_quadratic_form_is_an_exact_gaussian_zero(disc_g):
+    est = dual_integral(SublevelProblem(2, MultiPoly.zero(2), disc_g), 0.7, SPEC)
+    assert (est.value, est.effort, est.engine) == (0.0, 0, "gaussian-quadratic")
+    assert est.error_estimate == 0.0
+
+
+def test_a_g_negative_on_the_sphere_is_unbounded():
+    # g = x1^4 - x2^4 is negative on the x2 axis: the sphere's own check
+    # refuses it, which the CLI maps to exit 2 as before.
+    problem = SublevelProblem(2, MultiPoly.constant(2, 1.0), MultiPoly(2, {(4, 0): 1.0, (0, 4): -1.0}))
+    with pytest.raises(UnboundedSublevelError):
+        v_polynomial(problem, 1.0, SPEC)
+    with pytest.raises(UnboundedSublevelError):
+        dual_integral(problem, 1.0, SPEC)
